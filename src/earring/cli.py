@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class RunConfig:
     s: float = 0.19
     delta: float = 0.2
     grid: int = 50
-    jobs: int = 1
     tol_residual: float = 1e-9
     twist_signs: tuple = (1, 1, 1, 1)
     out: str = "out"
@@ -52,6 +51,9 @@ class RunConfig:
         for key, val in (overrides or {}).items():
             if val is not None:
                 data[key] = val
+        unknown = sorted(set(data) - {f.name for f in fields(RunConfig)})
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
         cfg = RunConfig(**{k: (tuple(v) if k == "twist_signs" else v)
                            for k, v in data.items()})
         cfg.validate()
@@ -131,56 +133,34 @@ class SvgPlot:
 # Commands
 
 
-def _chunks(n, jobs):
-    step = max(1, n // max(1, jobs))
-    return [(k, min(k + step, n)) for k in range(0, n, step)]
-
-
 def cmd_sample_moduli(cfg, args):
     G, T = md.sample_grid(cfg.delta, cfg.grid)
-    rows = []
     failures = 0
     if cfg.s == 0 and args.system == "F":
         # documented circle-fiber mode at s = 0: Re(h a) = 0 cuts a circle
         nus = np.linspace(0, 2 * math.pi, 36, endpoint=False)
-        for g, t in zip(G, T):
-            for nu in nus:
-                h = np.array([0.0, -math.sin(nu), math.cos(nu)])
-                f2, f3 = md.eval_F(g, t, h, 0.0)
-                rows.append((g, t, *h, 0.0, float(f2), float(f3)))
+        h = np.stack([np.zeros_like(nus), -np.sin(nus), np.cos(nus)], axis=-1)
+        f2, f3 = md.eval_F(G[:, None], T[:, None], h, 0.0)
+        rows = np.column_stack([np.repeat(G, len(nus)), np.repeat(T, len(nus)),
+                                np.tile(h, (len(G), 1)), np.zeros(f2.size),
+                                f2.ravel(), f3.ravel()])
         hist = {36: len(G)}
     else:
         if cfg.s == 0:
-            hp, hm = md.sigma_sections(G, T)
-            pairs = (hp, hm)
-            r1 = r2 = np.zeros(len(G))
+            pairs = md.sigma_sections(G, T)
         else:
             try:
-                if cfg.jobs > 1:
-                    import concurrent.futures as cf
-                    parts = _chunks(len(G), cfg.jobs)
-                    with cf.ThreadPoolExecutor(max_workers=cfg.jobs) as ex:
-                        res = list(ex.map(
-                            lambda se: md.solve_fiber_grid(G[se[0]:se[1]],
-                                                           T[se[0]:se[1]], cfg.s),
-                            parts))
-                    h1 = np.concatenate([r[0] for r in res])
-                    h2 = np.concatenate([r[1] for r in res])
-                    r1 = np.concatenate([r[2] for r in res])
-                    r2 = np.concatenate([r[3] for r in res])
-                else:
-                    h1, h2, r1, r2 = md.solve_fiber_grid(G, T, cfg.s)
+                h1, h2, _, _ = md.solve_fiber_grid(G, T, cfg.s)
             except md.NoConvergence as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_NUMERICAL
             pairs = (h1, h2)
-        counts = []
-        for g, t, ha, hb, ra, rb in zip(G, T, pairs[0], pairs[1], r1, r2):
-            n = 2 if np.linalg.norm(ha - hb) > 1e-6 else 1
-            counts.append(n)
-            for h in (ha, hb)[:n]:
-                f2, f3 = md.eval_F(g, t, h, cfg.s)
-                rows.append((g, t, *h, cfg.s, float(f2), float(f3)))
+        counts = np.where(np.linalg.norm(pairs[0] - pairs[1], axis=-1) > 1e-6, 2, 1)
+        # one row per distinct fiber point, point-major with the + branch first
+        rows = np.stack([np.column_stack([G, T, h, np.full(len(G), cfg.s),
+                                          *md.eval_F(G, T, h, cfg.s)])
+                         for h in pairs], axis=1)
+        rows = rows[np.arange(2)[None, :] < counts[:, None]]
         vals, cnts = np.unique(counts, return_counts=True)
         hist = {int(v): int(c) for v, c in zip(vals, cnts)}
 
@@ -293,22 +273,15 @@ def counting_matrix(s=0.05):
 
 
 def cmd_counts(cfg, args):
-    p = math.pi
     try:
-        unknot = co.count_generalized_points(
-            cv.line_arc((0, 0), (p, 0)), cv.line_arc((0, 0), (p, p)), cfg.s)
-        hopfs = [
-            co.count_generalized_points(cv.line_arc((0, 0), (p, 0)),
-                                        cv.line_arc((0, 0), (p, -2 * p)), cfg.s),
-            co.count_generalized_points(cv.line_arc((0, 0), (p, -p)),
-                                        cv.line_arc((0, 0), (p, p)), cfg.s),
-            co.count_generalized_points(cv.line_arc((0, 0), (0, p)),
-                                        cv.line_arc((0, 0), (2 * p, p)), cfg.s),
-        ]
         M = counting_matrix(cfg.s)
     except (co.NonTransverse, md.NoConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    # the unknot pair (bottom, diagonal) is M[0][1]; the Hopf pairs are the
+    # diagonal entries
+    unknot = int(M[0, 1])
+    hopfs = [int(M[i, i]) for i in range(3)]
     ok = (unknot == 1 and all(h == 2 for h in hopfs)
           and M.tolist() == EXPECTED_MATRIX)
     print(json.dumps({"unknot": unknot, "hopf": hopfs, "matrix": M.tolist(),
@@ -408,22 +381,21 @@ def main(argv=None):
     parser.add_argument("--s", type=float, default=None)
     parser.add_argument("--delta", type=float, default=None)
     parser.add_argument("--grid", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=None)
     parser.add_argument("--twist-signs", type=int, nargs=4, default=None)
     parser.add_argument("--out", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample-moduli")
     p.add_argument("--system", choices=["H", "F"], default="H")
-    p.add_argument("--out", dest="out", default=None)
+    p.add_argument("--out", default=argparse.SUPPRESS)
 
     p = sub.add_parser("compose")
     p.add_argument("curve")
-    p.add_argument("--out", dest="out", default=None)
+    p.add_argument("--out", default=argparse.SUPPRESS)
 
     p = sub.add_parser("model-map")
     p.add_argument("curve")
-    p.add_argument("--out", dest="out", default=None)
+    p.add_argument("--out", default=argparse.SUPPRESS)
 
     sub.add_parser("counts")
 
@@ -437,15 +409,14 @@ def main(argv=None):
     p.add_argument("subcommand", choices=["mul", "mc-check", "ii", "reduce",
                                           "to-curve", "from-curve"])
     p.add_argument("args", nargs="*")
-    p.add_argument("--out", dest="out", default=None)
+    p.add_argument("--out", default=argparse.SUPPRESS)
 
     args = parser.parse_args(argv)
     overrides = {"s": args.s, "delta": args.delta, "grid": args.grid,
-                 "jobs": args.jobs, "out": getattr(args, "out", None),
-                 "twist_signs": args.twist_signs}
+                 "out": args.out, "twist_signs": args.twist_signs}
     try:
         cfg = RunConfig.load(args.config, overrides)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -21,6 +21,7 @@ import numpy as np
 from . import curves as cv
 from . import moduli as md
 from . import pillowcase as pc
+from . import quaternion as qt
 from .curves import Curve
 
 TWO_PI = 2.0 * math.pi
@@ -233,31 +234,55 @@ def _push_component(samples, s, opts):
     if np.max(res) > opts.residual_tol:
         raise ContinuationStall(f"pushed sample residual {np.max(res):.2e}")
 
-    cg, ct, cgt = md.inner_invariants(G, T, H, s)
-    g1 = np.arccos(np.clip(cg, -1.0, 1.0))
-    t1 = np.arccos(np.clip(ct, -1.0, 1.0))
-    flip = np.abs(np.cos(g1 - t1) - cgt) > np.abs(np.cos(g1 + t1) - cgt)
-    t1 = np.where(flip, -t1, t1)
-    canon = cv.to_canonical(np.stack([g1, t1 % TWO_PI], axis=-1))
-    lift = cv.unwrap_to_lift(canon)
+    lift = cv.unwrap_to_lift(_inner_canonical(G, T, H, s))
     curve = Curve("loop", lift)
     prov = {"gamma": G, "theta": T, "h": H,
             "residual": res, "doubled_upstairs": doubled}
     return curve, prov
 
 
+def _inner_canonical(gamma, theta, h, s):
+    """Canonical (n, 2) pillowcase points of the inner restriction.
+
+    cos g' and cos t' fix g', t' in [0, pi]; cos(g' - t') fixes the joint
+    sign of t'.
+    """
+    cg, ct, cgt = md.inner_invariants(gamma, theta, h, s)
+    g1 = np.arccos(np.clip(cg, -1.0, 1.0))
+    t1 = np.arccos(np.clip(ct, -1.0, 1.0))
+    flip = np.abs(np.cos(g1 - t1) - cgt) > np.abs(np.cos(g1 + t1) - cgt)
+    t1 = np.where(flip, -t1, t1)
+    return cv.to_canonical(np.stack([g1, t1 % TWO_PI], axis=-1))
+
+
 def _fiber_at(g, t, s, branch):
+    """Fiber points over the base points (g[k], t[k]), continued from s = 0.
+
+    Row k starts at the section sigma_+ (branch[k] > 0) or sigma_- and is
+    carried to s through the stages 0.05, 0.1, 0.15 below |s| and then |s|
+    itself, with one batched newton_fiber call per stage for all rows.
+    Returns (h, ok): h is (n, 3), and ok[k] says that every stage of row k
+    converged (h[k] is meaningless otherwise).
+    """
+    g = np.asarray(g, dtype=float)
+    t = np.asarray(t, dtype=float)
     hp, hm = md.sigma_sections(g, t)
-    seed = hp if branch > 0 else hm
-    stages = [x for x in (0.05, 0.1, 0.15) if x < abs(s)] + [abs(s)]
-    h = np.asarray(seed, dtype=float)
-    for stage in stages:
-        sgn = math.copysign(stage, s) if s != 0 else stage
-        h, r, ok = md.newton_fiber(np.array([g]), np.array([t]), h[None, :] if h.ndim == 1 else h, sgn)
-        h = h[0] if h.ndim == 2 else h
-        if not ok.all():
-            return None
-    return h
+    h = np.where(np.asarray(branch)[:, None] > 0, hp, hm)
+    ok = np.ones(len(g), dtype=bool)
+    for stage in [x for x in (0.05, 0.1, 0.15) if x < abs(s)] + [abs(s)]:
+        h, _, converged = md.newton_fiber(g, t, h, math.copysign(stage, s))
+        ok &= converged
+    return h, ok
+
+
+def _seed_rows(g, t, s):
+    """Seeds far enough from the corners, each on both section branches.
+
+    Returns (rows, branch): indices into g, t in seed-major order with the
+    branches +1, -1 alternating.
+    """
+    far = np.flatnonzero(pc.corner_dist(g, t) >= max(0.05, 2.5 * s))
+    return np.repeat(far, 2), np.tile([1, -1], len(far))
 
 
 def compose_curve(curve, s, opts=None):
@@ -284,33 +309,31 @@ def compose_curve(curve, s, opts=None):
     seg = np.linalg.norm(np.diff(lift, axis=0), axis=-1)
     cumlen = np.concatenate([[0.0], np.cumsum(seg)])
 
+    k = np.searchsorted(cumlen, np.linspace(0.08, 0.92, opts.n_seeds) * cumlen[-1])
+    base = lift[np.clip(k, 1, len(lift) - 1)]
+    rows, branch = _seed_rows(base[:, 0], base[:, 1], s)
+    base = base[rows]
+    hs, fiber_ok = _fiber_at(base[:, 0], base[:, 1], s, branch)
+
     components, provenance = [], []
     reps = []
-    for frac in np.linspace(0.08, 0.92, opts.n_seeds):
-        u = frac * cumlen[-1]
-        k = int(np.searchsorted(cumlen, u))
-        k = min(max(k, 1), len(lift) - 1)
-        base = lift[k]
-        if pc.corner_dist(base[0], base[1]) < max(0.05, 2.5 * s):
+    for (g, t), h, ok in zip(base, hs, fiber_ok):
+        if not ok:
             continue
-        for branch in (+1, -1):
-            h = _fiber_at(base[0], base[1], s, branch)
-            if h is None:
-                continue
-            y, seed_res = _corrector(system, (float(base[0]), float(base[1]), h))
-            if np.max(np.abs(seed_res)) > opts.corrector_accept:
-                continue
-            if any(min(_ydist_quotient(y, q) for q in rep) < 3 * opts.step_max
-                   for rep in reps):
-                continue
-            try:
-                samples = trace_component(system, y, opts)
-            except (ContinuationStall, NonTransverse):
-                continue
-            reps.append(samples)
-            comp, prov = _push_component(samples, s, opts)
-            components.append(comp)
-            provenance.append(prov)
+        y, seed_res = _corrector(system, (float(g), float(t), h))
+        if np.max(np.abs(seed_res)) > opts.corrector_accept:
+            continue
+        if any(min(_ydist_quotient(y, q) for q in rep) < 3 * opts.step_max
+               for rep in reps):
+            continue
+        try:
+            samples = trace_component(system, y, opts)
+        except (ContinuationStall, NonTransverse):
+            continue
+        reps.append(samples)
+        comp, prov = _push_component(samples, s, opts)
+        components.append(comp)
+        provenance.append(prov)
     if not components:
         raise ContinuationStall("no component could be traced from any seed")
 
@@ -463,121 +486,151 @@ def compare_to_model(curve, s, delta, opts=None, twist_signs=DEFAULT_TWIST_SIGNS
 # Generalized intersection points of a pair of test arcs
 
 
-def _arc_interp(lift, t):
-    """Piecewise-linear interpolation along arclength, complex-step safe."""
+GP_MAX_ITER = 60
+GP_CONVERGED = 1e-12
+GP_STEP_CAP = 2.0
+
+
+def _arc_interp(lift):
+    """Piecewise-linear interpolation along arclength, vectorized.
+
+    The segment is located from the real part of the parameter, so a complex
+    step differentiates the linear piece the parameter lies on.
+    """
+    lift = np.asarray(lift, dtype=float)
     seg = np.linalg.norm(np.diff(lift, axis=0), axis=-1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
 
     def at(u):
-        ur = u.real if np.iscomplexobj(u) else u
-        k = int(np.clip(np.searchsorted(cum, ur) - 1, 0, len(seg) - 1))
+        u = np.asarray(u)
+        k = np.clip(np.searchsorted(cum, u.real) - 1, 0, len(seg) - 1)
         w = (u - cum[k]) / seg[k]
-        return lift[k][0] + w * (lift[k + 1][0] - lift[k][0]), \
-            lift[k][1] + w * (lift[k + 1][1] - lift[k][1])
+        return lift[k, 0] + w * (lift[k + 1, 0] - lift[k, 0]), \
+            lift[k, 1] + w * (lift[k + 1, 1] - lift[k, 1])
 
     return at, cum[-1]
+
+
+def _gp_residual(f0, f1, t0, t1, h, s):
+    """Residuals (..., 5) of {arc0(t0) = r0(m), arc1(t1) = r1(m)}.
+
+    The inner point is matched in the cubic-surface embedding, which is an
+    immersion along the pillowcase edges (plain (gamma, theta) matching
+    degenerates when the target arc lies on an edge).
+    """
+    g, t = f0(t0)
+    h1, h2 = md.eval_H(g, t, h, s)
+    cg, ct, cgt = md.inner_invariants(g, t, h, s)
+    g1, t1v = f1(t1)
+    return np.stack([h1, h2, cg - np.cos(g1), ct - np.cos(t1v),
+                     cgt - np.cos(g1 - t1v)], axis=-1)
+
+
+def _gauss_newton_gp(f0, f1, t0, t1, h, s):
+    """Masked batched Gauss-Newton for generalized points, one row per seed.
+
+    h is stepped in two tangent coordinates (u, v) and re-projected to the
+    unit sphere.  Each iteration evaluates, for the unconverged rows only,
+    the residual and its four complex-step Jacobian columns (t0, t1, u, v)
+    stacked on a leading axis of length 5, then solves every 5 x 4
+    least-squares step by one batched SVD.  Steps are capped at
+    GP_STEP_CAP in their largest component; rows whose residual drops below
+    GP_CONVERGED are frozen.  Returns (t0, t1, h, ok, sv) where sv is the
+    smallest singular value of each row's last step Jacobian (nan if the
+    row took no step).
+    """
+    t0 = np.array(t0, dtype=float)
+    t1 = np.array(t1, dtype=float)
+    h = np.array(h, dtype=float)
+    ok = np.zeros(len(t0), dtype=bool)
+    sv = np.full(len(t0), np.nan)
+    live = np.arange(len(t0))
+    eps = md.CS_STEP
+    for _ in range(GP_MAX_ITER):
+        a, b, hh = t0[live], t1[live], h[live]
+        e1, e2 = md._tangent_frame(hh)
+        r = _gp_residual(f0, f1,
+                         np.stack([a, a + 1j * eps, a, a, a]),
+                         np.stack([b, b, b + 1j * eps, b, b]),
+                         np.stack([hh, hh, hh, qt.normalize(hh + 1j * eps * e1),
+                                   qt.normalize(hh + 1j * eps * e2)]), s)
+        res = r[0].real
+        jac = np.moveaxis(r[1:].imag, 0, -1) / eps            # (n, 5, 4)
+        done = np.max(np.abs(res), axis=-1) < GP_CONVERGED
+        ok[live[done]] = True
+        # converged rows freeze; non-finite rows cannot step and stay unconverged
+        step = ~done & np.isfinite(r).all(axis=(0, 2))
+        live, res, jac = live[step], res[step], jac[step]
+        a, b, hh, e1, e2 = a[step], b[step], hh[step], e1[step], e2[step]
+        if not len(live):
+            break
+        u, sing, vt = np.linalg.svd(jac, full_matrices=False)
+        sv[live] = sing[:, -1]
+        cutoff = np.finfo(float).eps * max(jac.shape[1:]) * sing[:, :1]
+        with np.errstate(divide="ignore"):
+            inv = np.where(sing > cutoff, 1.0 / sing, 0.0)
+        delta = -np.einsum("nki,nk->ni", vt, inv * np.einsum("nji,nj->ni", u, res))
+        big = np.max(np.abs(delta), axis=-1, keepdims=True)
+        delta *= GP_STEP_CAP / np.maximum(big, GP_STEP_CAP)
+        t0[live] = a + delta[:, 0]
+        t1[live] = b + delta[:, 1]
+        h[live] = qt.normalize(hh + delta[:, 2:3] * e1 + delta[:, 3:4] * e2)
+    return t0, t1, h, ok, sv
 
 
 def count_generalized_points(arc0, arc1, s, n_seeds=24, merge_tol=1e-6,
                              cond_tol=1e-6, details=False):
     """Count solutions of {arc0(t0) = r0(m), arc1(t1) = r1(m)} over moduli points m.
 
-    Newton on the joint 4-dimensional system from grid seeds on both section
-    branches; duplicates are merged after canonicalizing under the extended
-    involution, and every solution's Jacobian regularity is checked.
+    Seeds are n_seeds arclength fractions of arc0 away from the corners, each
+    on both section branches; their fiber points come from one batched
+    _fiber_at call and their t1 from the arc1 sample nearest to the inner
+    restriction.  All seeds then run together through the masked batched
+    Gauss-Newton _gauss_newton_gp on the joint 4-dimensional system.
+    Converged solutions strictly inside both arcs are merged in seed order
+    (seed-major, branch +1 before -1) by the distance of their (t0, t1, h)
+    keys, and every merged solution must have a last-step Jacobian whose
+    smallest singular value reaches cond_tol, else NonTransverse is raised
+    (also for a seed that converged without a step, which has no Jacobian).
+    Returns the number of merged solutions, or with details=True their
+    records {key, t0, t1, h, sv}.
     """
     if not (0 < s < math.pi / 4):
         raise ValueError("s must lie in (0, pi/4)")
-    f0, len0 = _arc_interp(arc0.samples, None)
-    f1, len1 = _arc_interp(arc1.samples, None)
+    f0, len0 = _arc_interp(arc0.samples)
+    f1, len1 = _arc_interp(arc1.samples)
+
+    t0 = np.linspace(0.06, 0.94, n_seeds) * len0
+    g, t = f0(t0)
+    rows, branch = _seed_rows(g, t, s)
+    t0, g, t = t0[rows], g[rows], t[rows]
+    h, ok = _fiber_at(g, t, s, branch)
+    t0, g, t, h = t0[ok], g[ok], t[ok], h[ok]
+
+    # seed t1 at the arc1 sample nearest to the inner restriction, in row
+    # blocks of at most 8192 distances: one full distance matrix raised the
+    # peak RSS of `earring counts` by 1.4 MB (its temporaries are large
+    # enough to be mapped fresh rather than reused from the heap)
+    p1 = _inner_canonical(g, t, h, s)
     a1_canon = cv.to_canonical(arc1.resampled(0.01).samples)
+    block = max(1, 8192 // len(a1_canon))
+    kbest = np.concatenate([
+        np.argmin(pc.dist_raw(q[:, :1], q[:, 1:], a1_canon[:, 0], a1_canon[:, 1]), axis=1)
+        for q in np.split(p1, range(block, len(p1), block))])
+    t1 = kbest / (len(a1_canon) - 1.0) * len1
 
-    def residual(t0, t1, h):
-        # the inner point is matched in the cubic-surface embedding, which is
-        # an immersion along the pillowcase edges (plain (gamma, theta)
-        # matching degenerates when the target arc lies on an edge)
-        g, t = f0(t0)
-        h1, h2 = md.eval_H(g, t, h, s)
-        cg, ct, cgt = md.inner_invariants(g, t, h, s)
-        g1, t1v = f1(t1)
-        return np.array([h1, h2,
-                         cg - np.cos(g1),
-                         ct - np.cos(t1v),
-                         cgt - np.cos(g1 - t1v)]), cgt, (g1, t1v)
-
-    solutions = []
-    eps = md.CS_STEP
-    for frac in np.linspace(0.06, 0.94, n_seeds):
-        t0 = frac * len0
-        g, t = f0(t0)
-        if pc.corner_dist(g, t) < max(0.05, 2.5 * s):
-            continue
-        for branch in (+1, -1):
-            h = _fiber_at(g, t, s, branch)
-            if h is None:
-                continue
-            # seed t1 by projecting the inner restriction onto arc1
-            cg, ct, cgt = md.inner_invariants(g, t, h, s)
-            g1 = math.acos(min(1, max(-1, float(cg))))
-            t1v = math.acos(min(1, max(-1, float(ct))))
-            if abs(math.cos(g1 - t1v) - cgt) > abs(math.cos(g1 + t1v) - cgt):
-                t1v = -t1v
-            p1 = cv.to_canonical(np.array([[g1, t1v % TWO_PI]]))
-            dists = pc.dist_raw(p1[0, 0], p1[0, 1], a1_canon[:, 0], a1_canon[:, 1])
-            kbest = int(np.argmin(dists))
-            t1 = kbest / (len(a1_canon) - 1.0) * len1
-
-            x = [t0, t1, np.asarray(h, dtype=float)]
-            ok = False
-            jac = None
-            for _ in range(60):
-                res, _, _ = residual(x[0], x[1], x[2])
-                if np.max(np.abs(res)) < 1e-12:
-                    ok = True
-                    break
-                e1, e2 = md._tangent_frame(x[2])
-
-                def hv(u, v):
-                    q = x[2] + u * e1 + v * e2
-                    return q / np.sqrt(np.sum(q * q))
-
-                cols = []
-                r, _, _ = residual(x[0] + 1j * eps, x[1], x[2])
-                cols.append(r.imag / eps)
-                r, _, _ = residual(x[0], x[1] + 1j * eps, x[2])
-                cols.append(r.imag / eps)
-                r, _, _ = residual(x[0], x[1], hv(1j * eps, 0.0))
-                cols.append(r.imag / eps)
-                r, _, _ = residual(x[0], x[1], hv(0.0, 1j * eps))
-                cols.append(r.imag / eps)
-                jac = np.array(cols).T            # 5 x 4 Gauss-Newton
-                delta, *_ = np.linalg.lstsq(jac, -res.astype(float), rcond=None)
-                if np.max(np.abs(delta)) > 2.0:
-                    delta *= 2.0 / np.max(np.abs(delta))
-                x = [x[0] + delta[0], x[1] + delta[1],
-                     (x[2] + delta[2] * e1 + delta[3] * e2)]
-                x[2] = x[2] / np.linalg.norm(x[2])
-            if not ok:
-                continue
-            if not (1e-6 * len0 < x[0] < len0 * (1 - 1e-6)
-                    and 1e-6 * len1 < x[1] < len1 * (1 - 1e-6)):
-                continue
-            sv = np.linalg.svd(jac, compute_uv=False)
-            solutions.append((x[0], x[1], x[2].copy(), sv[-1]))
+    t0, t1, h, ok, sv = _gauss_newton_gp(f0, f1, t0, t1, h, s)
+    keep = (ok & (1e-6 * len0 < t0) & (t0 < len0 * (1 - 1e-6))
+            & (1e-6 * len1 < t1) & (t1 < len1 * (1 - 1e-6)))
 
     merged = []
-    for t0, t1, h, sv in solutions:
-        g, t = f0(t0)
-        key = np.concatenate([[t0, t1], h])
-        dup = False
-        for m in merged:
-            if np.linalg.norm(key - m["key"]) < max(merge_tol, 1e-4):
-                dup = True
-                break
-        if not dup:
-            merged.append({"key": key, "t0": t0, "t1": t1, "h": h, "sv": sv})
+    for a, b, hk, sk in zip(t0[keep], t1[keep], h[keep], sv[keep]):
+        key = np.concatenate([[a, b], hk])
+        if any(np.linalg.norm(key - m["key"]) < max(merge_tol, 1e-4) for m in merged):
+            continue
+        merged.append({"key": key, "t0": a, "t1": b, "h": hk, "sv": sk})
     for m in merged:
-        if m["sv"] < cond_tol:
+        if not m["sv"] >= cond_tol:
             raise NonTransverse(
                 f"generalized point at t0={m['t0']:.4f} has singular value {m['sv']:.2e}")
     if details:

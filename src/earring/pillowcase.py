@@ -20,6 +20,7 @@ TWO_PI = 2.0 * math.pi
 
 CORNERS = ((0.0, 0.0), (0.0, math.pi), (math.pi, 0.0), (math.pi, math.pi))
 CORNER_TOL = 1e-9  # a point is a corner when |sin gamma| and |sin theta| < this
+EQ_QUANTUM = 1e-12  # PillPoint equality: same canonical representative on this grid
 
 
 class InvalidTriple(ValueError):
@@ -28,20 +29,29 @@ class InvalidTriple(ValueError):
 
 @dataclass(frozen=True)
 class PillPoint:
-    """Canonical representative [gamma, theta] of a pillowcase point."""
+    """Canonical representative [gamma, theta] of a pillowcase point.
+
+    Two points are equal when their canonical representatives round to the
+    same EQ_QUANTUM grid cell, and the hash is taken of that cell, so equal
+    points hash equal.  Points closer than EQ_QUANTUM on either side of a
+    cell boundary compare unequal.
+    """
 
     gamma: float
     theta: float
     corner_index: int | None = None
 
+    def _key(self):
+        g, t = _canonical(self.gamma, self.theta)
+        return round(g / EQ_QUANTUM), round(t / EQ_QUANTUM)
+
     def __eq__(self, other):
         if not isinstance(other, PillPoint):
             return NotImplemented
-        return dist(self, other) < 1e-12
+        return self._key() == other._key()
 
     def __hash__(self):
-        # equality is ι-invariant; hash on the canonical representative rounded
-        return hash((round(self.gamma, 9), round(self.theta, 9)))
+        return hash(self._key())
 
     def to_json(self):
         return {"gamma": self.gamma, "theta": self.theta}
@@ -62,19 +72,32 @@ def _corner_index(gamma, theta):
     return {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}[(gi, ti)]
 
 
-def normalize(gamma, theta):
-    """Canonical ι-representative with gamma in [0, pi].
+def _canonical(gamma, theta):
+    """Canonical ι-representative (gamma, theta) in [0, pi] x [0, 2 pi).
 
-    On the boundary gamma in {0, pi} the tie is broken by theta in [0, pi].
+    The reduction mod 2 pi is the exact IEEE remainder, which is odd, so
+    (gamma, theta) and (-gamma, -theta) get bitwise the same representative.
+    Within EQ_QUANTUM of an edge gamma in {0, pi}, gamma snaps onto the edge
+    and theta folds into [0, pi]; within EQ_QUANTUM below 2 pi, theta snaps
+    to 0.
     """
-    g = float(gamma) % TWO_PI
-    t = float(theta) % TWO_PI
-    if g > math.pi + 1e-15:
-        g = TWO_PI - g
-        t = (-t) % TWO_PI
-    if min(g, math.pi - g) < 1e-15 and t > math.pi + 1e-15:
-        t = TWO_PI - t
-    g = min(max(g, 0.0), math.pi)
+    g = math.remainder(float(gamma), TWO_PI)
+    t = math.remainder(float(theta), TWO_PI)
+    if g < 0.0:
+        g, t = -g, -t
+    if g < EQ_QUANTUM or math.pi - g < EQ_QUANTUM:
+        return (0.0 if g < EQ_QUANTUM else math.pi), abs(t)
+    if -EQ_QUANTUM < t < 0.0:
+        return g, 0.0
+    return g, (t + TWO_PI if t < 0.0 else t + 0.0)
+
+
+def normalize(gamma, theta):
+    """Canonical ι-representative with gamma in [0, pi] and theta in [0, 2 pi).
+
+    On the edges gamma in {0, pi} the tie is broken by theta in [0, pi].
+    """
+    g, t = _canonical(gamma, theta)
     return PillPoint(g, t, _corner_index(g, t))
 
 

@@ -127,3 +127,23 @@ def test_bad_config_rejected(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"s": 2.0}))
     assert run(["--config", str(cfgfile), "corner-gap"]) == 4
+
+
+def test_global_out_reaches_the_command(tmp_path, monkeypatch, capsys):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    target = tmp_path / "X.csv"
+    assert run(["--out", str(target), "--s", "0", "--grid", "4",
+                "sample-moduli"]) == 0
+    capsys.readouterr()
+    assert target.read_text().startswith("gamma,theta,hx,hy,hz,s,F2,F3\n")
+    assert list(cwd.iterdir()) == []
+
+
+@pytest.mark.parametrize("data", [{"bogus": 1}, {"jobs": 2}, {"twist_signs": 3}, [1, 2]])
+def test_malformed_config_rejected(tmp_path, capsys, data):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(data))
+    assert run(["--config", str(cfgfile), "corner-gap"]) == 4
+    assert "error: bad config" in capsys.readouterr().err

@@ -154,3 +154,45 @@ def test_determinism():
     assert len(a.components) == len(b.components)
     for ca, cb in zip(a.components, b.components):
         assert np.array_equal(ca.samples, cb.samples)
+
+
+def test_fiber_at_batch_rows_are_independent():
+    rng = np.random.default_rng(3)
+    g = np.concatenate([rng.uniform(0.3, PI - 0.3, 7), [0.12, PI / 2]])
+    t = np.concatenate([rng.uniform(0.0, 2 * PI, 7), [0.05, 0.0]])
+    branch = np.array([1, -1, 1, 1, -1, -1, 1, -1, 1])
+    for s in (0.05, 0.19):
+        h, ok = co._fiber_at(g, t, s, branch)
+        # (0.12, 0.05) lies near a corner: its solve fails at s = 0.19
+        assert ok[:7].all() and ok[8] and ok[7] == (s < 0.1)
+        for k in range(len(g)):
+            hk, okk = co._fiber_at(g[k:k + 1], t[k:k + 1], s, branch[k:k + 1])
+            assert okk[0] == ok[k]
+            if ok[k]:
+                assert np.max(np.abs(hk[0] - h[k])) < 1e-12
+                h1, h2 = md.eval_H(g[k], t[k], h[k], s)
+                assert max(abs(h1), abs(h2)) < 1e-10
+
+
+@pytest.mark.parametrize("a, b", [
+    (((0, 0), (PI, 0)), ((0, 0), (PI, -2 * PI))),
+    (((0, 0), (PI, -PI)), ((0, 0), (PI, PI))),
+    (((0, 0), (0, PI)), ((0, 0), (2 * PI, PI))),
+    (((0, 0), (PI, PI)), ((0, 0), (0, PI))),
+])
+def test_counts_symmetric(a, b):
+    A, B = cv.line_arc(*a), cv.line_arc(*b)
+    assert (co.count_generalized_points(A, B, 0.05)
+            == co.count_generalized_points(B, A, 0.05))
+
+
+def test_unknot_generalized_point_regression():
+    # the unknot pair's solution (t0, t1, h) and its smallest singular value
+    sols = co.count_generalized_points(
+        cv.line_arc((0, 0), (PI, 0)), cv.line_arc((0, 0), (PI, PI)), 0.05,
+        details=True)
+    assert len(sols) == 1
+    key = [0.14026986508162076, 0.13986797714824956, 0.04943064567704246,
+           0.7071270631687253, 0.7053565961996274]
+    assert np.max(np.abs(sols[0]["key"] - key)) < 1e-10
+    assert abs(sols[0]["sv"] - 0.013595803802082373) < 1e-10

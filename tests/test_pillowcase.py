@@ -32,6 +32,42 @@ def test_normalize_is_iota_invariant(g, t):
     assert pc.dist(pc.normalize(g, t), pc.normalize(-g, -t)) < 1e-9
 
 
+tiny = st.floats(-1e-13, 1e-13, allow_nan=False)
+seam = st.sampled_from([0.0, math.pi, 2 * math.pi, -math.pi, 4 * math.pi])
+
+
+@settings(max_examples=300, deadline=None)
+@given(angle, angle, tiny, tiny)
+def test_equal_points_hash_equal(g, t, dg, dt):
+    a, b = pc.normalize(g, t), pc.normalize(g + dg, t + dt)
+    if a == b:
+        assert hash(a) == hash(b)
+    ia = pc.normalize(-g, -t)
+    assert ia == a and hash(ia) == hash(a)
+    assert pc.dist(a, ia) == 0.0
+    assert pc.dist(a, b) == pc.dist(ia, pc.normalize(-g - dg, -t - dt))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seam, angle, seam, tiny, tiny)
+def test_canonical_representative_unique_at_seams(g0, t, t0, dg, dt):
+    # on an edge gamma in {0, pi}, at the theta seam, and at both at once
+    for a, b in (((g0 + dg, t), (g0, t)), ((1.0, t0 + dt), (1.0, t0)),
+                 ((g0 + dg, t0 + dt), (g0, t0))):
+        p, q = pc.normalize(*a), pc.normalize(*b)
+        assert 0.0 <= p.gamma <= math.pi and 0.0 <= p.theta < 2 * math.pi
+        assert p == q and len({p, q}) == 1
+
+
+def test_seam_points_collapse_in_sets():
+    a, b = pc.normalize(1, 2 * math.pi - 1e-14), pc.normalize(1, 0)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    c, d = pc.normalize(1e-14, 4.0), pc.normalize(0.0, 2 * math.pi - 4.0)
+    assert c == d and len({c, d}) == 1
+    e, f = pc.normalize(math.pi - 1e-14, math.pi + 1e-14), pc.normalize(math.pi, math.pi)
+    assert e == f and e.corner_index == 3
+
+
 def test_embed3_examples():
     assert pc.embed3(pc.normalize(0, 0)) == pytest.approx((1, 1, 1))
     assert pc.embed3(pc.normalize(math.pi / 2, math.pi / 2)) == pytest.approx((0, 0, 1))
