@@ -19,6 +19,7 @@ import numpy as np
 
 from . import curves as cv
 from .curves import Curve
+from .pillowcase import TWO_PI
 
 N_MAX_DEFAULT = 12
 
@@ -567,7 +568,6 @@ def h_is_central(max_len=10, n_max=N_MAX_DEFAULT + 2):
 # corner (0, pi) is the excluded one.
 
 _PI = math.pi
-TWO_PI = 2.0 * math.pi
 
 _MOTIF_CORNER = {"S1": 2, "S2": 2, "D1": 0, "D2": 3}
 _ARC_ENDS = {IDEM_DOT: (0, 2), IDEM_CIRC: (2, 3)}

@@ -273,6 +273,9 @@ def counting_matrix(s=0.05):
 
 
 def cmd_counts(cfg, args):
+    if cfg.s == 0:
+        print("error: bad config: counts needs 0 < s < pi/4", file=sys.stderr)
+        return EXIT_IO
     try:
         M = counting_matrix(cfg.s)
     except (co.NonTransverse, md.NoConvergence) as exc:

@@ -23,8 +23,7 @@ from . import moduli as md
 from . import pillowcase as pc
 from . import quaternion as qt
 from .curves import Curve
-
-TWO_PI = 2.0 * math.pi
+from .pillowcase import TWO_PI
 
 DEFAULT_TWIST_SIGNS = (1, 1, 1, 1)
 
@@ -94,11 +93,10 @@ class _System:
         hh = hh / np.sqrt(np.sum(hh * hh, axis=-1))[:, None]
         h1, h2 = md.eval_H(gg, tt, hh, self.s)
         res = np.array([h1[0].real, h2[0].real, sd])
-        jac = np.array([
-            [h1[1].imag / eps, h1[2].imag / eps, h1[3].imag / eps, h1[4].imag / eps],
-            [h2[1].imag / eps, h2[2].imag / eps, h2[3].imag / eps, h2[4].imag / eps],
-            [normal[0], normal[1], 0.0, 0.0],
-        ])
+        jac = np.zeros((3, 4))
+        jac[0] = h1[1:].imag / eps
+        jac[1] = h2[1:].imag / eps
+        jac[2, :2] = normal
         return res, jac, (e1, e2)
 
 
@@ -134,10 +132,15 @@ def _apply(y, delta, frame):
 
 
 def _corrector(system, y, tangent5=None, max_iter=12):
+    """Newton corrector onto the solution set, pseudo-arclength with tangent5.
+
+    Returns (y, res, jac, frame), the last three from the final evaluation,
+    which is at the returned y.
+    """
     for _ in range(max_iter):
         res, jac, frame = system.res_and_jac(*y)
         if np.max(np.abs(res)) < 1e-13:
-            return y, res
+            return y, res, jac, frame
         if tangent5 is None:
             delta, *_ = np.linalg.lstsq(jac, -res, rcond=None)
         else:
@@ -145,26 +148,35 @@ def _corrector(system, y, tangent5=None, max_iter=12):
             rhs = np.concatenate([-res, [0.0]])
             delta = np.linalg.solve(aug, rhs)
         y = _apply(y, delta, frame)
-    res, _, _ = system.res_and_jac(*y)
-    return y, res
+    return (y, *system.res_and_jac(*y))
 
 
 def _ydist(y1, y2):
+    """Flat-torus distance of (gamma, theta) plus |h1 - h2|.
+
+    y2 may hold sample arrays (G, T, H); the distance is then taken to each
+    sample.
+    """
     dg = y1[0] - y2[0]
     dt = y1[1] - y2[1]
-    dg -= np.round(dg / TWO_PI) * TWO_PI
-    dt -= np.round(dt / TWO_PI) * TWO_PI
-    return math.hypot(dg, dt) + float(np.linalg.norm(y1[2] - y2[2]))
+    dg = dg - np.round(dg / TWO_PI) * TWO_PI
+    dt = dt - np.round(dt / TWO_PI) * TWO_PI
+    dh = y1[2] - y2[2]
+    return np.hypot(dg, dt) + np.sqrt(np.sum(dh * dh, axis=-1))
 
 
-def _y_iota(y):
-    g, t, h = md.iota_hat(y[0], y[1], y[2])
-    return (float(g), float(t), h)
+def _ydists(y, ys):
+    """Distances from y to the samples ys = (G, T, H) and to their involution images.
+
+    The quotient distance to a sample is the smaller of the two.
+    """
+    return _ydist(y, ys), _ydist(y, md.iota_hat(*ys))
 
 
-def _ydist_quotient(y1, y2):
-    """Distance between gauge-fixed points modulo the extended involution."""
-    return min(_ydist(y1, y2), _ydist(y1, _y_iota(y2)))
+def _sample_arrays(samples):
+    """(G, T, H) arrays of a list of gauge-fixed points."""
+    return (np.array([y[0] for y in samples]), np.array([y[1] for y in samples]),
+            np.stack([y[2] for y in samples]))
 
 
 def trace_component(system, y0, opts):
@@ -174,11 +186,10 @@ def trace_component(system, y0, opts):
     step is halved: the solution curve folds over the base near the corners,
     and jumping across a fold would flip the traversal direction.
     """
-    y, res = _corrector(system, y0)
+    y, res, jac, frame = _corrector(system, y0)
     if np.max(np.abs(res)) > opts.corrector_accept:
         raise ContinuationStall(f"seed corrector residual {np.max(np.abs(res)):.2e}")
     samples = [y]
-    _, jac, frame = system.res_and_jac(*y)
     tan = _tangent5(jac, frame)
     tan0 = tan.copy()
     ds = opts.step_init
@@ -186,9 +197,8 @@ def trace_component(system, y0, opts):
     for _step in range(opts.max_steps):
         while True:
             y_pred = _apply(y, ds * _to4(tan, frame), frame)
-            y_new, res_new = _corrector(system, y_pred, tangent5=tan)
+            y_new, res_new, jac_new, frame_new = _corrector(system, y_pred, tangent5=tan)
             if np.max(np.abs(res_new)) <= opts.corrector_accept:
-                _, jac_new, frame_new = system.res_and_jac(*y_new)
                 tan_new = _tangent5(jac_new, frame_new, prev5=tan)
                 if np.dot(tan_new, tan) >= 0.5:
                     break
@@ -215,20 +225,21 @@ def _push_component(samples, s, opts):
     A trace invariant under the extended involution covers its image in the
     quotient twice; it is cut at the half period (the point closest to the
     involution image of the start, which lies on the component exactly).
+    Returns the curve, its provenance and the (G, T, H) arrays of samples.
     """
     n = len(samples) - 1
-    y_flip = _y_iota(samples[0])
-    dists = [_ydist(y_flip, samples[k]) for k in range(n)]
+    ys = _sample_arrays(samples)
+    _, dists = _ydists(samples[0], tuple(a[:n] for a in ys))
     kmin = int(np.argmin(dists))
     doubled = dists[kmin] < 3 * opts.step_max and n // 3 <= kmin <= 2 * n // 3 + 1
     if doubled:
-        pts = samples[: kmin + 1] + [y_flip]
+        g, t, h = md.iota_hat(*samples[0])
+        G = np.append(ys[0][: kmin + 1], g)
+        T = np.append(ys[1][: kmin + 1], t)
+        H = np.concatenate([ys[2][: kmin + 1], h[None]])
     else:
-        pts = samples
+        G, T, H = ys
 
-    G = np.array([y[0] for y in pts])
-    T = np.array([y[1] for y in pts])
-    H = np.stack([y[2] for y in pts])
     f2, f3 = md.eval_F(G, T, H, s)
     res = np.maximum(np.abs(f2), np.abs(f3))
     if np.max(res) > opts.residual_tol:
@@ -238,7 +249,7 @@ def _push_component(samples, s, opts):
     curve = Curve("loop", lift)
     prov = {"gamma": G, "theta": T, "h": H,
             "residual": res, "doubled_upstairs": doubled}
-    return curve, prov
+    return curve, prov, ys
 
 
 def _inner_canonical(gamma, theta, h, s):
@@ -320,18 +331,18 @@ def compose_curve(curve, s, opts=None):
     for (g, t), h, ok in zip(base, hs, fiber_ok):
         if not ok:
             continue
-        y, seed_res = _corrector(system, (float(g), float(t), h))
+        y, seed_res, _, _ = _corrector(system, (float(g), float(t), h))
         if np.max(np.abs(seed_res)) > opts.corrector_accept:
             continue
-        if any(min(_ydist_quotient(y, q) for q in rep) < 3 * opts.step_max
+        if any(min(np.min(d) for d in _ydists(y, rep)) < 3 * opts.step_max
                for rep in reps):
             continue
         try:
             samples = trace_component(system, y, opts)
         except (ContinuationStall, NonTransverse):
             continue
-        reps.append(samples)
-        comp, prov = _push_component(samples, s, opts)
+        comp, prov, ys = _push_component(samples, s, opts)
+        reps.append(ys)
         components.append(comp)
         provenance.append(prov)
     if not components:
@@ -586,12 +597,15 @@ def count_generalized_points(arc0, arc1, s, n_seeds=24, merge_tol=1e-6,
     on both section branches; their fiber points come from one batched
     _fiber_at call and their t1 from the arc1 sample nearest to the inner
     restriction.  All seeds then run together through the masked batched
-    Gauss-Newton _gauss_newton_gp on the joint 4-dimensional system.
-    Converged solutions strictly inside both arcs are merged in seed order
-    (seed-major, branch +1 before -1) by the distance of their (t0, t1, h)
-    keys, and every merged solution must have a last-step Jacobian whose
-    smallest singular value reaches cond_tol, else NonTransverse is raised
-    (also for a seed that converged without a step, which has no Jacobian).
+    Gauss-Newton _gauss_newton_gp on the joint 4-dimensional system.  A
+    seed that ends unconverged strictly inside both arcs raises
+    md.NoConvergence; one that ends unconverged at an arc end cannot be an
+    interior solution and is dropped.  Converged solutions strictly inside
+    both arcs are merged in seed order (seed-major, branch +1 before -1) by
+    the distance of their (t0, t1, h) keys, and every merged solution must
+    have a last-step Jacobian whose smallest singular value reaches
+    cond_tol, else NonTransverse is raised (also for a seed that converged
+    without a step, which has no Jacobian).
     Returns the number of merged solutions, or with details=True their
     records {key, t0, t1, h, sv}.
     """
@@ -620,8 +634,15 @@ def count_generalized_points(arc0, arc1, s, n_seeds=24, merge_tol=1e-6,
     t1 = kbest / (len(a1_canon) - 1.0) * len1
 
     t0, t1, h, ok, sv = _gauss_newton_gp(f0, f1, t0, t1, h, s)
-    keep = (ok & (1e-6 * len0 < t0) & (t0 < len0 * (1 - 1e-6))
-            & (1e-6 * len1 < t1) & (t1 < len1 * (1 - 1e-6)))
+    interior = ((1e-6 * len0 < t0) & (t0 < len0 * (1 - 1e-6))
+                & (1e-6 * len1 < t1) & (t1 < len1 * (1 - 1e-6)))
+    stalled = np.flatnonzero(interior & ~ok)
+    if len(stalled):
+        k = stalled[0]
+        raise md.NoConvergence(
+            f"{len(stalled)} Gauss-Newton seeds stalled inside both arcs "
+            f"(first at t0={t0[k]:.4f}, t1={t1[k]:.4f})")
+    keep = ok & interior
 
     merged = []
     for a, b, hk, sk in zip(t0[keep], t1[keep], h[keep], sv[keep]):

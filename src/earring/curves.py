@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pillowcase as pc
+from .pillowcase import TWO_PI
 
-TWO_PI = 2.0 * math.pi
 STEP_MAX = 0.05
 
 
@@ -94,15 +94,6 @@ class Curve:
         out = np.stack([np.interp(uu, u, pts[:, 0]), np.interp(uu, u, pts[:, 1])], axis=-1)
         out[0], out[-1] = pts[0], pts[-1]
         return Curve(self.kind, out, corners=self.corners)
-
-    def reversed(self):
-        return Curve(self.kind, self.samples[::-1].copy())
-
-    def translated(self, disp):
-        return Curve(self.kind, self.samples + np.asarray(disp))
-
-    def iota_image(self):
-        return Curve(self.kind, -self.samples[::-1].copy())
 
     def to_json(self):
         obj = {"kind": self.kind, "samples": [[float(a), float(b)] for a, b in self.samples]}

@@ -9,6 +9,18 @@ where a = i, b = e^{gamma k} i, f = e^{theta k} i, p = e^{s Im(b h)},
 q = e^{s Im(f conj(a) h)}.  The rescaled system H divides the first equation
 by s and has the closed-form limit (Re(h(ba+f)), Re(ha)) at s = 0.
 
+The evaluation is written out in components.  With b = (0, cos gamma,
+sin gamma, 0), f = (0, cos theta, sin theta, 0) and h pure,
+
+    Im(b h) = b x h,   f conj(a) h = e^{theta k} h,   a conj(f) = e^{-theta k},
+
+so the core is conj(p) e^{-theta k} q f: two exponentials and three
+quaternion products, each expanded over its nonzero components.  Every term
+the expansion drops is a product with an exact zero, so the values agree
+bitwise with the full quaternion chain (up to the sign of exact zeros).  At
+s = 0 the limit is H1 = -hx cos theta - hy sin theta + hz sin gamma and
+H2 = -hx.
+
 Everything here is vectorized: gamma/theta broadcast, h has shape (..., 3)
 (the imaginary components), and s is a scalar.  All evaluations accept complex
 input so Jacobians are computed by complex-step differentiation.
@@ -31,6 +43,9 @@ NEWTON_CONVERGED = 1e-12
 NEWTON_ACCEPT = 1e-10
 CS_STEP = 1e-30        # complex-step size
 
+_AXES = np.eye(3)
+_IOTA_H = np.array([1.0, -1.0, -1.0])   # h -> -i h i on pure h
+
 
 class CornerInput(ValueError):
     """Raised when a section is requested at a pillowcase corner."""
@@ -44,38 +59,54 @@ class NoConvergence(RuntimeError):
     """Raised when Newton fails to reach the acceptance residual."""
 
 
-def _hq(h):
-    """Imaginary (..., 3) vector -> quaternion array."""
-    return qt.from_im(np.asarray(h, dtype=np.result_type(h, 1.0)))
+def _parts(gamma, theta, h):
+    """(cos gamma, sin gamma, cos theta, sin theta, hx, hy, hz), broadcasting.
+
+    The nonzero components of b = (0, cos gamma, sin gamma, 0),
+    f = (0, cos theta, sin theta, 0) and h.
+    """
+    gamma, theta, h = (np.asarray(x, dtype=np.result_type(x, 1.0)) for x in (gamma, theta, h))
+    return (np.cos(gamma), np.sin(gamma), np.cos(theta), np.sin(theta),
+            h[..., 0], h[..., 1], h[..., 2])
 
 
-def _gauge(gamma, theta):
-    b = qt.mul(qt.exp_k(gamma), qt.I)
-    f = qt.mul(qt.exp_k(theta), qt.I)
-    return b, f
-
-
-def _perturbation(b, f, h4, s):
-    """p = e^{s Im(bh)}, q = e^{s Im(f conj(a) h)} with a = i."""
-    lam_p = qt.mul(b, h4)
-    lam_q = qt.mul_chain(f, qt.conj(qt.I), h4)
-    p = qt.exp_im(s * qt.im(lam_p))
-    q = qt.exp_im(s * qt.im(lam_q))
+def _perturbation(parts, s):
+    """Components of p = e^{s (b x h)} and q = e^{s e^{theta k} h}."""
+    bx, by, fx, fy, hx, hy, hz = parts
+    p = qt.exp_im_parts(s * (by * hz), s * -(bx * hz), s * (bx * hy - by * hx))
+    q = qt.exp_im_parts(s * (fx * hx - fy * hy), s * (fx * hy + fy * hx), s * (fx * hz))
     return p, q
 
 
-def _core(gamma, theta, h4, s):
-    """conj(p) a conj(f) q f on the gauge-fixed slice."""
-    b, f = _gauge(gamma, theta)
-    p, q = _perturbation(b, f, h4, s)
-    return qt.mul_chain(qt.conj(p), qt.I, qt.conj(f), q, f), b, f
+def _core(parts, s):
+    """Components of conj(p) a conj(f) q f = conj(p) e^{-theta k} q f."""
+    _, _, fx, fy, _, _, _ = parts
+    (p0, p1, p2, p3), (q0, q1, q2, q3) = _perturbation(parts, s)
+    # a = conj(p) e^{-theta k}
+    a0 = p0 * fx - p3 * fy
+    a1 = p2 * fy - p1 * fx
+    a2 = -(p1 * fy + p2 * fx)
+    a3 = -(p0 * fy + p3 * fx)
+    # c = a q
+    c0 = a0 * q0 - a1 * q1 - a2 * q2 - a3 * q3
+    c1 = a0 * q1 + a1 * q0 + a2 * q3 - a3 * q2
+    c2 = a0 * q2 - a1 * q3 + a2 * q0 + a3 * q1
+    c3 = a0 * q3 + a1 * q2 - a2 * q1 + a3 * q0
+    # core = c f
+    return -(c1 * fx + c2 * fy), c0 * fx - c3 * fy, c0 * fy + c3 * fx, c1 * fy - c2 * fx
+
+
+def _re_h_times(parts, core):
+    """Re(h core) for pure h."""
+    _, _, _, _, hx, hy, hz = parts
+    return -hx * core[1] - hy * core[2] - hz * core[3]
 
 
 def eval_F(gamma, theta, h, s):
     """The two defining residuals (F2, F3); F1 vanishes on the slice."""
-    h4 = _hq(h)
-    core, _, _ = _core(np.asarray(gamma), np.asarray(theta), h4, s)
-    return qt.re(core), qt.re(qt.mul(h4, core))
+    parts = _parts(gamma, theta, h)
+    core = _core(parts, s)
+    return core[0], _re_h_times(parts, core)
 
 
 def eval_H(gamma, theta, h, s):
@@ -84,17 +115,12 @@ def eval_H(gamma, theta, h, s):
     H1 = F2 / s and H2 = F3 for s != 0; at s = 0 the limit is
     H1 = Re(h(ba+f)), H2 = Re(ha).
     """
-    gamma = np.asarray(gamma)
-    theta = np.asarray(theta)
-    h4 = _hq(h)
+    parts = _parts(gamma, theta, h)
     if abs(s) < S0_EPS:
-        b, f = _gauge(gamma, theta)
-        ba_plus_f = qt.mul(b, np.broadcast_to(qt.I, b.shape)) + f
-        h1 = qt.re(qt.mul(h4, ba_plus_f))
-        h2 = qt.re(qt.mul(h4, np.broadcast_to(qt.I, h4.shape)))
-        return h1, h2
-    core, _, _ = _core(gamma, theta, h4, s)
-    return qt.re(core) / s, qt.re(qt.mul(h4, core))
+        _, by, fx, fy, hx, hy, hz = parts
+        return -hx * fx - hy * fy + hz * by, -hx
+    core = _core(parts, s)
+    return core[0] / s, _re_h_times(parts, core)
 
 
 def taylor_gap(gamma, theta, h, s):
@@ -120,27 +146,34 @@ def sigma_sections(gamma, theta):
 
 
 def iota_hat(gamma, theta, h):
-    """Extended elliptic involution (gamma,theta,h) -> (-gamma,-theta,-i h i)."""
-    h4 = _hq(h)
-    h4i = -qt.mul_chain(qt.I, h4, qt.I)
-    return -np.asarray(gamma), -np.asarray(theta), qt.im(h4i)
+    """Extended elliptic involution (gamma,theta,h) -> (-gamma,-theta,-i h i).
+
+    For pure h, -i h i = (hx, -hy, -hz).
+    """
+    return -np.asarray(gamma), -np.asarray(theta), np.asarray(h) * _IOTA_H
 
 
 # ---------------------------------------------------------------------------
 # Newton on the traceless 2-sphere
 
 
+def _cross(a, b):
+    """a x b over the last axis of two (..., 3) arrays."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 def _tangent_frame(h):
-    """Orthonormal frame (e1, e2) of the tangent plane at unit h (..., 3)."""
+    """Orthonormal frame (e1, e2) of the tangent plane at unit h (..., 3).
+
+    e1 is h x e for the coordinate axis e least aligned with h, normalized,
+    and e2 = h x e1.
+    """
     h = np.asarray(h)
-    axes = np.eye(3)
-    dots = np.abs(h @ axes.T)                    # (..., 3)
-    pick = np.argmin(dots, axis=-1)
-    e = axes[pick]
-    e1 = np.cross(h, e)
-    e1 = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
-    e2 = np.cross(h, e1)
-    return e1, e2
+    e1 = _cross(h, _AXES[np.argmin(np.abs(h), axis=-1)])
+    e1 = e1 / np.sqrt(np.sum(e1 * e1, axis=-1, keepdims=True))
+    return e1, _cross(h, e1)
 
 
 def _residual_norm(gamma, theta, h, s):
@@ -373,9 +406,12 @@ class ModuliPoint:
 
 def inner_triple(gamma, theta, h, s):
     """(c, f, d) with c = conj(q)conj(p) b p q and d = -conj(h) a h."""
-    h4 = _hq(h)
-    b, f = _gauge(np.asarray(gamma), np.asarray(theta))
-    p, q = _perturbation(b, f, h4, s)
+    parts = _parts(gamma, theta, h)
+    bx, by, fx, fy, hx, hy, hz = parts
+    p, q = (qt.quat(*x) for x in _perturbation(parts, s))
+    b = qt.quat(0.0, bx, by, 0.0)
+    f = qt.quat(0.0, fx, fy, 0.0)
+    h4 = qt.quat(0.0, hx, hy, hz)
     c = qt.mul_chain(qt.conj(q), qt.conj(p), b, p, q, renorm=True)
     d = -qt.mul_chain(qt.conj(h4), qt.I, h4, renorm=True)
     return c, f, d

@@ -20,8 +20,6 @@ J = np.array([0.0, 0.0, 1.0, 0.0])
 K = np.array([0.0, 0.0, 0.0, 1.0])
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
 
-UNIT_TOL = 1e-12        # after construction
-UNIT_TOL_CHAIN = 1e-9   # after long product chains
 RENORM_CHAIN = 16       # renormalize unit quaternions after > 16 products
 
 
@@ -63,14 +61,6 @@ def normalize(q):
     return q / norm(q)[..., None]
 
 
-def is_unit(q, tol=UNIT_TOL):
-    return np.all(np.abs(norm(q) - 1.0) <= tol)
-
-
-def is_traceless(q, tol=UNIT_TOL):
-    return np.all(np.abs(re(q)) <= tol)
-
-
 def mul(q1, q2):
     """Hamilton product, broadcasting over leading axes."""
     a1, b1, c1, d1 = q1[..., 0], q1[..., 1], q1[..., 2], q1[..., 3]
@@ -100,21 +90,27 @@ def mul_chain(*qs, renorm=None):
     return out
 
 
-def exp_im(v):
-    """Exponential of a purely imaginary quaternion (an (..., 3) vector).
+def exp_im_parts(x, y, z):
+    """Components (re, x, y, z) of the exponential of x i + y j + z k.
 
-    Returns cos|v| + sin|v| * v/|v|, with the quadratic Taylor form below
+    Returns cos|v| and sin|v| * v/|v| for v = (x, y, z), broadcasting over
+    the three component arrays, with the quadratic Taylor form below
     |v| < 1e-8 so the v -> 0 limit is exact.
     """
-    v = np.asarray(v, dtype=np.result_type(v, 1.0))
-    r2 = np.sum(v * v, axis=-1)
+    r2 = x * x + y * y + z * z
     r = np.sqrt(r2)
     small = np.abs(r) < 1e-8
     # sin(r)/r via its quadratic Taylor polynomial on the small branch
     with np.errstate(invalid="ignore", divide="ignore"):
         sinc = np.where(small, 1.0 - r2 / 6.0, np.sin(r) / np.where(small, 1.0, r))
     c = np.where(small, 1.0 - r2 / 2.0, np.cos(r))
-    return np.concatenate([c[..., None], sinc[..., None] * v], axis=-1)
+    return c, sinc * x, sinc * y, sinc * z
+
+
+def exp_im(v):
+    """Exponential of a purely imaginary quaternion (an (..., 3) vector)."""
+    v = np.asarray(v, dtype=np.result_type(v, 1.0))
+    return quat(*exp_im_parts(v[..., 0], v[..., 1], v[..., 2]))
 
 
 def rotate(g, q):

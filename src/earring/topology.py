@@ -15,8 +15,7 @@ import numpy as np
 
 from . import curves as cv
 from .curves import Curve
-
-TWO_PI = 2.0 * math.pi
+from .pillowcase import TWO_PI
 
 
 class NonTransverse(RuntimeError):
@@ -88,7 +87,7 @@ def _segment_crossings(P, Q, tol=1e-9):
     return uu, vv, pos, sgn
 
 
-def _lattice_tiles(moving_pts, fixed_pts, extra=None):
+def _lattice_tiles(moving_pts, fixed_pts):
     """Lattice offsets bringing the moving polyline near the fixed one."""
     lo = fixed_pts.min(axis=0) - moving_pts.max(axis=0)
     hi = fixed_pts.max(axis=0) - moving_pts.min(axis=0)
@@ -345,20 +344,6 @@ def _corner_lifts_in(bbox_lo, bbox_hi):
                        int(np.ceil(bbox_hi[1] / math.pi)) + 2):
             out.append((m * math.pi, n * math.pi))
     return out
-
-
-def flatten_about_corner(samples, corner):
-    """Angle-doubling chart around a corner lift.
-
-    The cone neighborhood of an orbifold point flattens to a planar disk by
-    doubling the angular coordinate; involution-identified points coincide
-    afterwards, so quotient crossings near the corner become honest planar
-    crossings.
-    """
-    rel = np.asarray(samples, dtype=float) - corner
-    r = np.linalg.norm(rel, axis=-1)
-    ang = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
-    return corner + r[:, None] * np.stack([np.cos(2 * ang), np.sin(2 * ang)], axis=-1)
 
 
 def _panel_polar(deg, r, center):

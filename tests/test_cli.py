@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -121,6 +124,17 @@ def test_counts_command(capsys):
     assert run(["--s", "0.05", "counts"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["pass"] and rep["matrix"] == [[2, 1, 1], [1, 2, 1], [1, 1, 2]]
+
+
+def test_counts_refuses_s0():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "earring.cli", "--s", "0", "counts"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 4
+    assert proc.stderr == "error: bad config: counts needs 0 < s < pi/4\n"
+    assert proc.stdout == ""
 
 
 def test_bad_config_rejected(tmp_path):

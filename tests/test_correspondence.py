@@ -196,3 +196,49 @@ def test_unknot_generalized_point_regression():
            0.7071270631687253, 0.7053565961996274]
     assert np.max(np.abs(sols[0]["key"] - key)) < 1e-10
     assert abs(sols[0]["sv"] - 0.013595803802082373) < 1e-10
+
+
+def test_stalled_interior_seed_raises(monkeypatch):
+    # one Gauss-Newton iteration leaves seeds unconverged inside both arcs
+    monkeypatch.setattr(co, "GP_MAX_ITER", 1)
+    with pytest.raises(md.NoConvergence):
+        co.count_generalized_points(
+            cv.line_arc((0, 0), (PI, 0)), cv.line_arc((0, 0), (PI, PI)), 0.05)
+
+
+def test_corrector_returns_its_final_evaluation():
+    L = cv.circle_loop((PI / 2, PI / 2), 0.5, n=129)
+    system = co._System(cv.PolylineProjector(L.samples, closed=True), 0.05)
+    h, ok = co._fiber_at(np.array([PI / 2 + 0.5]), np.array([PI / 2]), 0.05,
+                         np.array([1]))
+    assert ok[0]
+    y0 = (PI / 2 + 0.5 + 1e-3, PI / 2 + 2e-3, h[0])
+    y, res, jac, frame = co._corrector(system, y0)
+    assert np.max(np.abs(res)) < 1e-10
+    tan = co._tangent5(jac, frame)
+    y_pred = co._apply(y, 0.02 * co._to4(tan, frame), frame)
+    # converged, converged along a tangent, and stopped after max_iter
+    for start, kwargs in ((y0, {}), (y_pred, {"tangent5": tan}), (y0, {"max_iter": 1})):
+        y, res, jac, (e1, e2) = co._corrector(system, start, **kwargs)
+        res2, jac2, (f1, f2) = system.res_and_jac(*y)
+        assert np.array_equal(res, res2) and np.array_equal(jac, jac2)
+        assert np.array_equal(e1, f1) and np.array_equal(e2, f2)
+
+
+def test_vectorized_quotient_distance():
+    rng = np.random.default_rng(7)
+    n = 40
+    g, t = rng.uniform(-4, 10, (2, n))
+    h = rng.normal(size=(n, 3))
+    h /= np.linalg.norm(h, axis=-1, keepdims=True)
+    samples = [(g[k], t[k], h[k]) for k in range(n)]
+    ys = co._sample_arrays(samples)
+    for y in [samples[3], (samples[5][0] + 0.01, -samples[5][1], h[9]),
+              (1.0, 2.0, np.array([0.0, 0.6, 0.8]))]:
+        direct, iota = co._ydists(y, ys)
+        for k, (gk, tk, hk) in enumerate(samples):
+            assert direct[k] == co._ydist(y, (gk, tk, hk))
+            assert iota[k] == co._ydist(y, (-gk, -tk, hk * [1.0, -1.0, -1.0]))
+        scalar = min(min(co._ydist(y, q), co._ydist(y, md.iota_hat(*q)))
+                     for q in samples)
+        assert np.min(np.minimum(direct, iota)) == scalar

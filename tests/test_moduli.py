@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from earring import moduli as md
 from earring import pillowcase as pc
@@ -104,6 +106,59 @@ def test_iota_hat_equivariance():
         b1, b2 = md.eval_H(gg, tt, hh, s)
         assert np.max(np.abs(a1 - b1)) < 1e-12
         assert np.max(np.abs(a2 - b2)) < 1e-12
+
+
+def test_iota_hat_is_conjugation_by_i():
+    rng = np.random.default_rng(5)
+    h = rng.normal(size=(200, 3))
+    g, t, hh = md.iota_hat(0.3, -1.2, h)
+    assert g == -0.3 and t == 1.2
+    assert np.array_equal(hh, qt.im(-qt.mul_chain(qt.I, qt.from_im(h), qt.I)))
+
+
+def _chain(gamma, theta, h, s):
+    """eval_F, eval_H and inner_invariants through the full quaternion chain."""
+    h4 = qt.from_im(h)
+    b = qt.mul(qt.exp_k(gamma), qt.I)
+    f = qt.mul(qt.exp_k(theta), qt.I)
+    p = qt.exp_im(s * qt.im(qt.mul(b, h4)))
+    q = qt.exp_im(s * qt.im(qt.mul_chain(f, qt.conj(qt.I), h4)))
+    core = qt.mul_chain(qt.conj(p), qt.I, qt.conj(f), q, f)
+    F = qt.re(core), qt.re(qt.mul(h4, core))
+    if abs(s) < md.S0_EPS:
+        H = qt.re(qt.mul(h4, qt.mul(b, qt.I) + f)), qt.re(qt.mul(h4, qt.I))
+    else:
+        H = qt.re(core) / s, F[1]
+    c = qt.mul_chain(qt.conj(q), qt.conj(p), b, p, q, renorm=True)
+    d = -qt.mul_chain(qt.conj(h4), qt.I, h4, renorm=True)
+    return F, H, pc.triple_invariants(c, f, d)
+
+
+kernel_angle = st.floats(-7, 7, allow_nan=False)
+unit = st.floats(-1, 1, allow_nan=False)
+kernel_s = st.one_of(st.just(0.0), st.floats(-1e-8, 1e-8, allow_nan=False),
+                     st.floats(-0.78, 0.78, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_angle, kernel_angle, st.tuples(unit, unit, unit).filter(
+    lambda v: np.linalg.norm(v) > 0.1), kernel_s)
+def test_closed_form_kernel_equals_quaternion_chain(g, t, h, s):
+    # bitwise, at a real point and on the complex-step stencil of the
+    # continuation Jacobian (value, d/dgamma, d/dtheta, two sphere directions)
+    h = np.array(h) / np.linalg.norm(h)
+    e1, e2 = md._tangent_frame(h)
+    eps = md.CS_STEP
+    gg = np.array([g, g + 1j * eps, g, g, g])
+    tt = np.array([t, t, t + 1j * eps, t, t])
+    hh = np.stack([h, h, h, h + 1j * eps * e1, h + 1j * eps * e2])
+    hh = hh / np.sqrt(np.sum(hh * hh, axis=-1))[:, None]
+    for args in ((np.array([g]), np.array([t]), h[None]), (gg, tt, hh)):
+        F, H, inv = _chain(*args, s)
+        got = md.eval_F(*args, s), md.eval_H(*args, s), md.inner_invariants(*args, s)
+        for want, have in zip(F + H + inv, got[0] + got[1] + got[2]):
+            assert have.dtype == want.dtype and have.shape == want.shape
+            assert np.array_equal(have, want)
 
 
 def test_newton_corrects_section_seed():

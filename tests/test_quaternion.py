@@ -113,6 +113,20 @@ def test_exp_conj_inverse_hypothesis(v):
     assert np.max(np.abs(qt.mul(q, qt.conj(q)) - qt.ONE)) < 1e-9
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(finite, finite, finite), st.integers(-40, 1))
+def test_exp_im_matches_vector_formula(v, scale):
+    # cos|v| + sin|v| v/|v|, with the Taylor branch below |v| = 1e-8
+    v = np.array(v) * 10.0 ** scale
+    r2 = np.sum(v * v, axis=-1)
+    r = np.sqrt(r2)
+    if r < 1e-8:
+        want = np.concatenate([[1.0 - r2 / 2.0], (1.0 - r2 / 6.0) * v])
+    else:
+        want = np.concatenate([[np.cos(r)], np.sin(r) / r * v])
+    assert np.array_equal(qt.exp_im(v), want)
+
+
 def test_mul_chain_renormalizes_long_products():
     qs = [random_units(1, seed=k)[0] for k in range(20)]
     out = qt.mul_chain(*qs)
