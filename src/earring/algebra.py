@@ -584,11 +584,6 @@ def _word_sweep(w):
     return sum(_letter_sweep(x) for x in w.letters)
 
 
-def _corner_class_of_lift(pt):
-    g, t = (np.asarray(pt) / _PI).round().astype(int) % 2
-    return {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}[(int(g), int(t))]
-
-
 def _rot(v, ang):
     c, s = math.cos(ang), math.sin(ang)
     return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
@@ -628,7 +623,7 @@ def realize_chain(cx):
     w0 = next(iter(cx.entry(0, 1).words))
     c0_class = _MOTIF_CORNER[w0.letters[0]]
     ends0 = [base, base + _PI * dirn]
-    classes0 = [_corner_class_of_lift(e) for e in ends0]
+    classes0 = [cv.corner_index_of_lift(e) for e in ends0]
     if c0_class not in classes0:
         raise UnsupportedArrow(f"first arrow {w0} does not act on the first arc")
     c_hat = ends0[classes0.index(c0_class)]
@@ -640,7 +635,7 @@ def realize_chain(cx):
     ray_in = (free_start - c_hat) / _PI
     for k in range(n - 1):
         w = next(iter(cx.entry(k, k + 1).words))
-        if _MOTIF_CORNER[w.letters[0]] != _corner_class_of_lift(centers[-1]):
+        if _MOTIF_CORNER[w.letters[0]] != cv.corner_index_of_lift(centers[-1]):
             raise UnsupportedArrow(
                 f"arrow {w} wraps the wrong corner class at step {k}")
         sweep = _word_sweep(w)
@@ -648,17 +643,17 @@ def realize_chain(cx):
         out_dir = _rot(ray_in, sweep)
         # the next wrap sits at the far end of the new lift
         far = centers[-1] + _PI * out_dir
-        ends = {_corner_class_of_lift(centers[-1]), _corner_class_of_lift(far)}
+        ends = {cv.corner_index_of_lift(centers[-1]), cv.corner_index_of_lift(far)}
         if ends != set(_ARC_ENDS[cx.idems[k + 1]]):
             raise UnsupportedArrow(
                 f"arrow {w} does not land on the {cx.idems[k+1]} arc")
         if k < n - 2:
             w_next = next(iter(cx.entry(k + 1, k + 2).words))
             target_class = _MOTIF_CORNER[w_next.letters[0]]
-            if _corner_class_of_lift(far) == target_class:
+            if cv.corner_index_of_lift(far) == target_class:
                 centers.append(far)
                 ray_in = -out_dir
-            elif _corner_class_of_lift(centers[-1]) == target_class:
+            elif cv.corner_index_of_lift(centers[-1]) == target_class:
                 # consecutive wraps at the same corner lift
                 centers.append(centers[-1].copy())
                 ray_in = out_dir
@@ -794,10 +789,6 @@ def _template_crossings(samples):
     return sorted(out, key=lambda z: z[0])
 
 
-def _nearest_corner_lift(pt):
-    return np.round(np.asarray(pt) / _PI) * _PI
-
-
 def _segment_wrap_data(samples, u1, u2):
     """Wrapped corner lift and signed sweep of a curve piece between crossings."""
     i0 = int(math.ceil(u1 + 1e-9))
@@ -807,7 +798,7 @@ def _segment_wrap_data(samples, u1, u2):
         return None
     dmin, c_best = None, None
     for k in range(len(piece)):
-        c = _nearest_corner_lift(piece[k])
+        c = cv._nearest_corner_lift(piece[k])
         d = np.linalg.norm(piece[k] - c)
         if dmin is None or d < dmin:
             dmin, c_best = d, c
@@ -836,7 +827,7 @@ def _read_chain(curve):
     crossings = _template_crossings(samples)
     # wrap-internal crossings happen within the wrap radius of a corner lift
     gens = [(u, idm, pos) for (u, idm, pos) in crossings
-            if np.linalg.norm(pos - _nearest_corner_lift(pos)) > 1.5 * _WRAP_RADIUS]
+            if np.linalg.norm(pos - cv._nearest_corner_lift(pos)) > 1.5 * _WRAP_RADIUS]
     if not gens:
         raise UnsupportedArrow("no template crossings found")
     idems = [g[1] for g in gens]
@@ -854,7 +845,7 @@ def _read_chain(curve):
         quarter = int(round(sweep / (0.5 * math.pi)))
         if quarter <= 0:
             raise UnsupportedArrow("clockwise chord reading is unsupported")
-        key = (idems[k], idems[k + 1], _corner_class_of_lift(c_hat), quarter)
+        key = (idems[k], idems[k + 1], cv.corner_index_of_lift(c_hat), quarter)
         if key not in _WORD_BY_MOTIF:
             raise UnsupportedArrow(f"no chord motif for {key}")
         diff[(k, k + 1)] = Element([_WORD_BY_MOTIF[key]])
@@ -929,7 +920,7 @@ def curve_to_complex(curve):
     # supported near the arc
     ends = {cv.corner_index_of_lift(pts[0]), cv.corner_index_of_lift(pts[-1])}
     crossings = [c for c in _template_crossings(pts)
-                 if np.linalg.norm(c[2] - _nearest_corner_lift(c[2]))
+                 if np.linalg.norm(c[2] - cv._nearest_corner_lift(c[2]))
                  > 1.5 * _WRAP_RADIUS]
     if not crossings:
         for idm in (IDEM_DOT, IDEM_CIRC):

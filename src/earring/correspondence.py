@@ -350,10 +350,9 @@ def compose_curve(curve, s, opts=None):
 
     # definitional check: the trace projects onto the input curve
     for prov in provenance:
-        worst = 0.0
-        for g, t in zip(prov["gamma"], prov["theta"]):
-            sd, _, _, _ = projector.project(np.array([g, t]))
-            worst = max(worst, abs(sd))
+        sd = projector.signed_distances(
+            np.stack([prov["gamma"], prov["theta"]], axis=-1))
+        worst = float(np.max(np.abs(sd), initial=0.0))
         if worst > 1e-6:
             raise ContinuationStall(f"trace left the input curve by {worst:.2e}")
 

@@ -194,17 +194,32 @@ class PolylineProjector:
     def project(self, x):
         """(signed distance, arclength u, smoothed unit normal) at x (real 2-vector)."""
         x = np.asarray(x, dtype=float)
-        rel = x[None, :] - self.pts[:-1]
-        t = np.einsum("ij,ij->i", rel, self.dir)
+        t, foot, k = self._feet(x)
+        return self._at(x, int(k), t, foot)
+
+    def signed_distances(self, xs):
+        """`project`'s signed distance at each row of xs (b, 2), in row blocks."""
+        step = max(1, (1 << 16) // len(self.len))
+        sd = []
+        for x in np.split(xs, np.arange(step, len(xs), step)):
+            t, foot, k = self._feet(x)
+            sd += [self._at(*row)[0] for row in zip(x, k.tolist(), t, foot)]
+        return np.array(sd)
+
+    def _feet(self, x):
+        """Foot parameters, feet on each segment and nearest segment of x (..., 2)."""
+        rel = x[..., None, :] - self.pts[:-1]
+        t = np.einsum("...ij,ij->...i", rel, self.dir)
         t = np.clip(t, 0.0, self.len)
-        foot = self.pts[:-1] + t[:, None] * self.dir
-        d2 = np.sum((x[None, :] - foot) ** 2, axis=-1)
-        k = int(np.argmin(d2))
-        u = self.cum[k] + t[k]
+        foot = self.pts[:-1] + t[..., None] * self.dir
+        d2 = np.sum((x[..., None, :] - foot) ** 2, axis=-1)
+        return t, foot, np.argmin(d2, axis=-1)
+
+    def _at(self, x, k, t, foot):
+        """project's output at x, nearest to segment k (t, foot: all segments)."""
         tangent = self._smooth_tangent(k, t[k])
         normal = np.array([-tangent[1], tangent[0]])
-        sd = float(np.dot(x - foot[k], normal))
-        return sd, u, normal, foot[k]
+        return float(np.dot(x - foot[k], normal)), self.cum[k] + t[k], normal, foot[k]
 
     def _smooth_tangent(self, k, tk):
         blend = 0.5 * self.len[k]

@@ -4,6 +4,22 @@ Intersection numbers are computed on torus lifts: the first curve's stored
 lift is held fixed and crossed against every lattice translate of the second
 curve's lift and of its involution image, which counts each quotient crossing
 exactly once.  Signs follow the d(gamma) wedge d(theta) orientation.
+
+All segment crossings come from one kernel, `_crossings`.  Its broad phase
+cuts each polyline into chunks of _CHUNK segments and keeps the chunk pairs
+whose bounding boxes, each padded by m, overlap; its narrow phase evaluates
+the dense all-pairs algebra, with the same expressions and operands and so
+the same bits, on the segments of those pairs only.
+
+Padding drops no pair that the dense algebra flags as crossing or grazing:
+such a pair has |denom| > 1e-14 and computed t, u in (-tau, 1 + tau), tau the
+grazing tolerance (0 without one), so a1 + t d1 and b1 + u d2 lie within
+tau |d1| and tau |d2| of the two segments.  Bounding the rounding (unit eps/2)
+of the cross products and the division puts the two points within
+delta = 4 s g / (1e-14 - 4 g) of each other, where g = 4 eps l1 l2, s = l1 + l2
+and l1, l2 are the two polylines' longest segments (delta = inf once
+g >= 2.5e-15).  So boxes padded by m = tau max(l1, l2) + delta + 1e-6 overlap;
+the 1e-6 covers the rounding of the padded box corners.
 """
 
 from __future__ import annotations
@@ -53,38 +69,85 @@ class HomologyClass:
 # ---------------------------------------------------------------------------
 # Crossing kernel
 
+_CHUNK = 32
 
-def _segment_crossings(P, Q, tol=1e-9):
-    """All transverse interior crossings between two open polylines in R^2.
 
-    Returns (u, v, points, signs) with u, v arclength-like parameters
-    (segment index + fraction).  Raises NonTransverse on grazing contacts.
+def _chunked(pts, size):
+    """Segment starts and differences of polylines (..., n + 1, 2), NaN-padded
+    to (..., c, size, 2) chunks, and the corners (..., c, 2) of chunk boxes."""
+    a, b = pts[..., :-1, :], pts[..., 1:, :]
+    n = a.shape[-2]
+    c = -(-n // size)
+    pad = [(0, 0)] * (a.ndim - 2) + [(0, c * size - n), (0, 0)]
+    shape = a.shape[:-2] + (c, size, 2)
+    a, b, d = (np.pad(x, pad, constant_values=np.nan).reshape(shape)
+               for x in (a, b, b - a))
+    return (a, d, np.fmin.reduce(np.fmin(a, b), axis=-2),
+            np.fmax.reduce(np.fmax(a, b), axis=-2))
+
+
+def _crossings(P, Qs, margin=0.0, tol=None, self_pairs=False):
+    """Transverse crossings of the polyline P with each polyline of a stack.
+
+    P is (n + 1, 2) and Qs is (k, m + 1, 2); with self_pairs, Qs is P[None]
+    and only segment pairs j > i + 1 count.  Segments i of P and j of a
+    translate cross when margin < t, u < 1 - margin at a1 + t d1 = b1 + u d2.
+    With tol set, t or u within tol of 0 or 1 while the other lies in
+    (-tol, 1 + tol) raises NonTransverse.  Returns (u, v, points, signs) in
+    (translate, i, j) order, u and v being segment index + fraction.
     """
-    a1, a2 = P[:-1], P[1:]
-    b1, b2 = Q[:-1], Q[1:]
-    d1 = a2 - a1
-    d2 = b2 - b1
-    # r[i,j] = b1[j] - a1[i]
-    r = b1[None, :, :] - a1[:, None, :]
-    denom = d1[:, None, 0] * d2[None, :, 1] - d1[:, None, 1] * d2[None, :, 0]
-    rxd2 = r[:, :, 0] * d2[None, :, 1] - r[:, :, 1] * d2[None, :, 0]
-    rxd1 = r[:, :, 0] * d1[:, None, 1] - r[:, :, 1] * d1[:, None, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = rxd2 / denom
-        u = rxd1 / denom
-    ok = (np.abs(denom) > 1e-14) & (t > 0) & (t < 1) & (u > 0) & (u < 1)
-    grazing = (np.abs(denom) > 1e-14) & (
-        ((np.abs(t) < tol) | (np.abs(t - 1) < tol)) &
-        (u > -tol) & (u < 1 + tol)
-        | ((np.abs(u) < tol) | (np.abs(u - 1) < tol)) & (t > -tol) & (t < 1 + tol))
-    if np.any(grazing):
-        raise NonTransverse("grazing contact between polylines")
-    ii, jj = np.nonzero(ok)
-    uu = ii + t[ii, jj]
-    vv = jj + u[ii, jj]
-    pos = a1[ii] + t[ii, jj][:, None] * d1[ii]
-    sgn = np.sign(denom[ii, jj]).astype(int)
-    return uu, vv, pos, sgn
+    n, m = len(P) - 1, Qs.shape[1] - 1
+    if len(Qs) == 0 or n < 1 or m < 1:
+        return np.zeros(0), np.zeros(0), np.zeros((0, 2)), np.zeros(0, dtype=int)
+    sp, sq = min(_CHUNK, n), min(_CHUNK, m)
+    A1, D1, plo, phi = _chunked(P, sp)
+    B1, D2, qlo, qhi = _chunked(Qs, sq)
+    # broad phase: chunk pairs whose padded boxes overlap (module docstring)
+    lp = np.max(np.hypot(*np.diff(P, axis=0).T))
+    lq = np.max(np.hypot(*np.diff(Qs, axis=1).transpose(2, 0, 1)))
+    g = 4 * np.finfo(float).eps * lp * lq
+    slack = 4 * (lp + lq) * g / (1e-14 - 4 * g) if g < 2.5e-15 else np.inf
+    pad = (tol or 0.0) * max(lp, lq) + slack + 1e-6
+    hit = np.all((plo[None, :, None] - pad <= qhi[:, None, :] + pad)
+                 & (qlo[:, None, :] - pad <= phi[None, :, None] + pad), axis=-1)
+    if self_pairs:
+        hit &= np.arange(len(plo))[:, None] <= np.arange(len(plo))
+    # narrow phase: the dense algebra on the segments of surviving chunk
+    # pairs, a block of pairs at a time to keep the temporaries near 1 MB
+    found = [(np.zeros(0, dtype=int),) * 3 + (np.zeros(0),) * 3]
+    step = max(1, (1 << 17) // (sp * sq))
+    for kk, cp, cq in zip(*(np.split(x, np.arange(step, len(x), step))
+                             for x in np.nonzero(hit))):
+        a1, d1 = A1[cp], D1[cp]
+        b1, d2 = B1[kk, cq], D2[kk, cq]
+        r = b1[:, None, :, :] - a1[:, :, None, :]
+        denom = (d1[:, :, None, 0] * d2[:, None, :, 1]
+                 - d1[:, :, None, 1] * d2[:, None, :, 0])
+        rxd2 = r[..., 0] * d2[:, None, :, 1] - r[..., 1] * d2[:, None, :, 0]
+        rxd1 = r[..., 0] * d1[:, :, None, 1] - r[..., 1] * d1[:, :, None, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = rxd2 / denom
+            u = rxd1 / denom
+        ok = ((np.abs(denom) > 1e-14) & (t > margin) & (t < 1 - margin)
+              & (u > margin) & (u < 1 - margin))
+        if self_pairs:
+            ok &= (cq[:, None, None] * sq + np.arange(sq)
+                   > cp[:, None, None] * sp + np.arange(sp)[:, None] + 1)
+        if tol is not None:
+            grazing = (np.abs(denom) > 1e-14) & (
+                ((np.abs(t) < tol) | (np.abs(t - 1) < tol)) &
+                (u > -tol) & (u < 1 + tol)
+                | ((np.abs(u) < tol) | (np.abs(u - 1) < tol)) & (t > -tol) & (t < 1 + tol))
+            if np.any(grazing):
+                raise NonTransverse("grazing contact between polylines")
+        hits = np.nonzero(ok)
+        found.append((kk[hits[0]], cp[hits[0]] * sp + hits[1], cq[hits[0]] * sq + hits[2],
+                      t[hits], u[hits], denom[hits]))
+    k, i, j, t, u, denom = (np.concatenate(x) for x in zip(*found))
+    order = np.lexsort((j, i, k))
+    i, j, t, u, denom = i[order], j[order], t[order], u[order], denom[order]
+    pos = A1.reshape(-1, 2)[i] + t[:, None] * D1.reshape(-1, 2)[i]
+    return i + t, j + u, pos, np.sign(denom).astype(int)
 
 
 def _lattice_tiles(moving_pts, fixed_pts):
@@ -109,38 +172,21 @@ def intersection_number(c1, c2, max_attempts=5):
     base = np.asarray(c2.samples, dtype=float)
     for attempt in range(max_attempts + 1):
         Q0 = base + attempt * 1e-7 * _JITTER_DIR
-        pts, alg, geo = [], 0, 0
+        Qs = np.stack([Q + np.asarray(off) for Q in (Q0, -Q0)
+                       for off in _lattice_tiles(Q, P)])
         try:
-            for branch, Q in (("id", Q0), ("iota", -Q0)):
-                for off in _lattice_tiles(Q, P):
-                    uu, vv, pos, sgn = _segment_crossings(P, Q + np.asarray(off))
-                    for k in range(len(uu)):
-                        pts.append((float(uu[k]), float(vv[k]), pos[k], int(sgn[k])))
-                        alg += int(sgn[k])
-                        geo += 1
+            uu, vv, pos, sgn = _crossings(P, Qs, tol=1e-9)
         except NonTransverse:
             continue
-        return IntersectionReport(pts, alg, geo)
+        pts = [(float(a), float(b), p, int(s)) for a, b, p, s in zip(uu, vv, pos, sgn)]
+        return IntersectionReport(pts, int(np.sum(sgn)), len(pts))
     raise NonTransverse(f"no transverse position after {max_attempts} jitter attempts")
 
 
 def _self_crossing_params(P, margin=1e-9):
     """Interior crossings between non-adjacent segments of one polyline."""
-    a1, a2 = P[:-1], P[1:]
-    d = a2 - a1
-    n = len(d)
-    r = a1[None, :, :] - a1[:, None, :]
-    denom = d[:, None, 0] * d[None, :, 1] - d[:, None, 1] * d[None, :, 0]
-    rxd2 = r[:, :, 0] * d[None, :, 1] - r[:, :, 1] * d[None, :, 0]
-    rxd1 = r[:, :, 0] * d[:, None, 1] - r[:, :, 1] * d[:, None, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = rxd2 / denom
-        u = rxd1 / denom
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    ok = ((jj > ii + 1) & (np.abs(denom) > 1e-14)
-          & (t > margin) & (t < 1 - margin) & (u > margin) & (u < 1 - margin))
-    ia, ja = np.nonzero(ok)
-    return [(i + t[i, j], j + u[i, j]) for i, j in zip(ia, ja)]
+    uu, vv, _, _ = _crossings(P, P[None], margin=margin, self_pairs=True)
+    return list(zip(uu, vv))
 
 
 def self_intersections(c, max_attempts=5):
@@ -152,22 +198,16 @@ def self_intersections(c, max_attempts=5):
     """
     P = np.asarray(c.samples, dtype=float)
     count = len(_self_crossing_params(P))
-    extra = 0
     for attempt in range(max_attempts + 1):
         Q0 = P + attempt * 1e-7 * _JITTER_DIR
+        Qs = np.stack([-Q0 + np.asarray(off) for off in _lattice_tiles(-Q0, P)]
+                      + [Q0 + np.asarray(off) for off in _lattice_tiles(Q0, P)
+                         if not np.allclose(off, 0.0)])
         try:
-            extra = 0
-            for off in _lattice_tiles(-Q0, P):
-                uu, _, _, _ = _segment_crossings(P, -Q0 + np.asarray(off))
-                extra += len(uu)
-            for off in _lattice_tiles(Q0, P):
-                if np.allclose(off, 0.0):
-                    continue
-                uu, _, _, _ = _segment_crossings(P, Q0 + np.asarray(off))
-                extra += len(uu)
-            return count + extra // 2
+            extra = len(_crossings(P, Qs, tol=1e-9)[0])
         except NonTransverse:
             continue
+        return count + extra // 2
     raise NonTransverse("self-intersection count did not stabilize under jitter")
 
 
@@ -285,45 +325,13 @@ def classify_homology_fig8(components, arc, delta, tube_radius=None):
 # Bigon counting
 
 
-def _interior_crossing_count(P, Q, margin=1e-7):
-    """Strictly interior transverse crossings; grazing contacts ignored."""
-    a1, a2 = P[:-1], P[1:]
-    b1, b2 = Q[:-1], Q[1:]
-    d1 = a2 - a1
-    d2 = b2 - b1
-    r = b1[None, :, :] - a1[:, None, :]
-    denom = d1[:, None, 0] * d2[None, :, 1] - d1[:, None, 1] * d2[None, :, 0]
-    rxd2 = r[:, :, 0] * d2[None, :, 1] - r[:, :, 1] * d2[None, :, 0]
-    rxd1 = r[:, :, 0] * d1[:, None, 1] - r[:, :, 1] * d1[:, None, 0]
+def _point_in_polygon(points, poly):
+    """Ray-casting parity of each point of points (b, 2) in a closed polygon."""
+    x, y = points[:, :1], points[:, 1:]
+    (x1, y1), (x2, y2) = poly.T, np.roll(poly, -1, axis=0).T
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = rxd2 / denom
-        u = rxd1 / denom
-    ok = ((np.abs(denom) > 1e-14) & (t > margin) & (t < 1 - margin)
-          & (u > margin) & (u < 1 - margin))
-    # drop hits at the shared endpoints of subarc pairs
-    ii, jj = np.nonzero(ok)
-    count = 0
-    for i, j in zip(ii, jj):
-        pos = a1[i] + t[i, j] * d1[i]
-        if (np.linalg.norm(pos - P[0]) > 1e-6 and np.linalg.norm(pos - P[-1]) > 1e-6
-                and np.linalg.norm(pos - Q[0]) > 1e-6
-                and np.linalg.norm(pos - Q[-1]) > 1e-6):
-            count += 1
-    return count
-
-
-def _point_in_polygon(point, poly):
-    x, y = point
-    inside = False
-    n = len(poly)
-    for i in range(n):
-        x1, y1 = poly[i]
-        x2, y2 = poly[(i + 1) % n]
-        if (y1 > y) != (y2 > y):
-            xs = x1 + (y - y1) / (y2 - y1) * (x2 - x1)
-            if xs > x:
-                inside = not inside
-    return inside
+        xs = x1 + (y - y1) / (y2 - y1) * (x2 - x1)
+    return np.count_nonzero(((y1 > y) != (y2 > y)) & (xs > x), axis=1) % 2 == 1
 
 
 def _subarc(samples, u1, u2):
@@ -438,11 +446,12 @@ def count_bigons(c1, c2, max_attempts=5):
     for attempt in range(max_attempts + 1):
         Q = np.asarray(c2.samples, dtype=float) + attempt * 1e-7 * _JITTER_DIR
         try:
-            uu, vv, pos, sgn = _segment_crossings(P, Q)
+            uu, vv, _, _ = _crossings(P, Q[None], tol=1e-9)
             self1 = [x for pair in _self_crossing_params(P) for x in pair]
             self2 = [x for pair in _self_crossing_params(Q) for x in pair]
         except NonTransverse:
             continue
+        strands = np.concatenate([P, Q], axis=0)
         n = len(uu)
         count = 0
         for i in range(n):
@@ -464,26 +473,27 @@ def count_bigons(c1, c2, max_attempts=5):
                 poly = np.concatenate([s1, s2[::-1][1:-1]], axis=0)
                 if len(poly) < 3:
                     continue
-                # the two subarcs must not cross each other away from endpoints
-                if _interior_crossing_count(s1, s2) > 0:
+                # the two subarcs must not cross each other away from the
+                # endpoints they share
+                ends = (s1[0], s1[-1], s2[0], s2[-1])
+                hits = _crossings(s1, s2[None], margin=1e-7)[2]
+                if any(all(np.linalg.norm(p - e) > 1e-6 for e in ends) for p in hits):
                     continue
                 # empty interior: no puncture, no other strand point inside
                 lo = poly.min(axis=0)
                 hi = poly.max(axis=0)
-                if any(_point_in_polygon(cpt, poly)
-                       for cpt in _corner_lifts_in(lo, hi)):
+                if np.any(_point_in_polygon(np.array(_corner_lifts_in(lo, hi)), poly)):
                     continue
-                others = [p for p in np.concatenate([P, Q], axis=0)
-                          if lo[0] - 1e-9 <= p[0] <= hi[0] + 1e-9
-                          and lo[1] - 1e-9 <= p[1] <= hi[1] + 1e-9]
-                blocked = False
-                for p in others:
-                    if (np.min(np.linalg.norm(s1 - p, axis=-1)) > 1e-7
-                            and np.min(np.linalg.norm(s2 - p, axis=-1)) > 1e-7
-                            and _point_in_polygon(p, poly)):
-                        blocked = True
+                others = strands[np.all((lo - 1e-9 <= strands)
+                                        & (strands <= hi + 1e-9), axis=1)]
+                # row blocks keep the (rows, len(poly)) temporaries small
+                step = max(1, (1 << 16) // len(poly))
+                for p in np.split(others, np.arange(step, len(others), step)):
+                    far1 = np.min(np.linalg.norm(s1 - p[:, None], axis=-1), axis=1) > 1e-7
+                    far2 = np.min(np.linalg.norm(s2 - p[:, None], axis=-1), axis=1) > 1e-7
+                    if np.any(far1 & far2 & _point_in_polygon(p, poly)):
                         break
-                if not blocked:
+                else:
                     count += 1
         return count
     raise NonSimpleArrangement("arrangement not simple under jitter")

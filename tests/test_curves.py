@@ -79,6 +79,20 @@ def test_projector_signed_distance():
     assert abs(sd + sd2) < 1e-12  # opposite sides, opposite signs
 
 
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_signed_distances_equal_project(closed):
+    # a wiggly polyline long enough that the points span several row blocks
+    ang = np.linspace(0.0, 2 * math.pi, 1200)
+    pts = np.stack([1.5 + (0.5 + 0.05 * np.sin(7 * ang)) * np.cos(ang),
+                    1.5 + 0.4 * np.sin(ang)], axis=-1)
+    proj = cv.PolylineProjector(pts, closed=closed)
+    rng = np.random.default_rng(3)
+    xs = pts[rng.integers(0, len(pts), 300)] + rng.normal(0.0, 0.02, (300, 2))
+    xs[:20] = pts[:20]            # on the vertices: blended tangents at joints
+    sd = proj.signed_distances(xs)
+    assert np.array_equal(sd, [proj.project(x)[0] for x in xs])
+
 def test_curve_json_roundtrip():
     A = cv.line_arc((0, 0), (math.pi, math.pi), n=9)
     B = cv.Curve.loads(A.dumps())

@@ -140,7 +140,7 @@ kernel_s = st.one_of(st.just(0.0), st.floats(-1e-8, 1e-8, allow_nan=False),
                      st.floats(-0.78, 0.78, allow_nan=False))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(kernel_angle, kernel_angle, st.tuples(unit, unit, unit).filter(
     lambda v: np.linalg.norm(v) > 0.1), kernel_s)
 def test_closed_form_kernel_equals_quaternion_chain(g, t, h, s):

@@ -26,7 +26,7 @@ def test_corner_indexing():
     assert pc.normalize(0.5, 0.5).corner_index is None
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(angle, angle)
 def test_normalize_is_iota_invariant(g, t):
     assert pc.dist(pc.normalize(g, t), pc.normalize(-g, -t)) < 1e-9
@@ -36,7 +36,7 @@ tiny = st.floats(-1e-13, 1e-13, allow_nan=False)
 seam = st.sampled_from([0.0, math.pi, 2 * math.pi, -math.pi, 4 * math.pi])
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(angle, angle, tiny, tiny)
 def test_equal_points_hash_equal(g, t, dg, dt):
     a, b = pc.normalize(g, t), pc.normalize(g + dg, t + dt)
@@ -48,7 +48,7 @@ def test_equal_points_hash_equal(g, t, dg, dt):
     assert pc.dist(a, b) == pc.dist(ia, pc.normalize(-g - dg, -t - dt))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(seam, angle, seam, tiny, tiny)
 def test_canonical_representative_unique_at_seams(g0, t, t0, dg, dt):
     # on an edge gamma in {0, pi}, at the theta seam, and at both at once
@@ -74,7 +74,7 @@ def test_embed3_examples():
     assert pc.embed3(pc.normalize(math.pi / 2, 0)) == pytest.approx((0, 1, 0))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(angle, angle)
 def test_embed3_lands_on_cubic(g, t):
     x, y, z = pc.embed3(pc.normalize(g, t))

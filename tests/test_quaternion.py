@@ -95,7 +95,7 @@ def test_rotate_preserves_re_and_im_norm():
     assert np.max(np.abs(n_in - n_out)) < 1e-11
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.tuples(finite, finite, finite, finite),
        st.tuples(finite, finite, finite, finite))
 def test_mul_norm_multiplicative_hypothesis(a, b):
@@ -105,7 +105,7 @@ def test_mul_norm_multiplicative_hypothesis(a, b):
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(st.tuples(finite, finite, finite))
 def test_exp_conj_inverse_hypothesis(v):
     v = np.array(v)
@@ -113,7 +113,7 @@ def test_exp_conj_inverse_hypothesis(v):
     assert np.max(np.abs(qt.mul(q, qt.conj(q)) - qt.ONE)) < 1e-9
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.tuples(finite, finite, finite), st.integers(-40, 1))
 def test_exp_im_matches_vector_formula(v, scale):
     # cos|v| + sin|v| v/|v|, with the Taylor branch below |v| = 1e-8
