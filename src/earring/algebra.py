@@ -691,7 +691,7 @@ def realize_chain(cx):
     pieces.append(np.asarray([jog2]))
     pieces.append(np.asarray([free_final]))
     samples = np.concatenate(pieces, axis=0)
-    return Curve("arc", _resample_keep_ends(samples, 0.04))
+    return Curve("arc", samples).resampled(0.04)
 
 
 def _arc_for_idem(idem):
@@ -741,20 +741,6 @@ def _pushoff(arc, amount=0.07):
         nrm = -nrm
     bump = np.sin(np.linspace(0.0, math.pi, len(pts)))[:, None]
     return Curve("arc", pts + amount * bump * nrm)
-
-
-def _resample_keep_ends(samples, step):
-    seg = np.linalg.norm(np.diff(samples, axis=0), axis=-1)
-    keep = np.concatenate([[True], seg > 1e-12])
-    samples = samples[keep]
-    seg = np.linalg.norm(np.diff(samples, axis=0), axis=-1)
-    u = np.concatenate([[0.0], np.cumsum(seg)])
-    nn = max(2, int(math.ceil(u[-1] / step)) + 1)
-    uu = np.linspace(0.0, u[-1], nn)
-    out = np.stack([np.interp(uu, u, samples[:, 0]),
-                    np.interp(uu, u, samples[:, 1])], axis=-1)
-    out[0], out[-1] = samples[0], samples[-1]
-    return out
 
 
 # ---------------------------------------------------------------------------

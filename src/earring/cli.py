@@ -31,10 +31,8 @@ class RunConfig:
     s: float = 0.19
     delta: float = 0.2
     grid: int = 50
-    tol_residual: float = 1e-9
     twist_signs: tuple = (1, 1, 1, 1)
     out: str = "out"
-    failure_budget: int = 0
 
     def validate(self):
         if not (0 <= self.s < math.pi / 4):
@@ -65,10 +63,12 @@ class RunConfig:
 
 
 class SvgPlot:
-    def __init__(self, width=440, height=840, margin=30):
-        self.width = width
-        self.height = height
-        self.margin = margin
+    width = 440
+    height = 840
+    margin = 30
+    step = 0.01         # curve_wrapped's resampling step
+
+    def __init__(self):
         self.body = []
 
     def _xy(self, g, t):
@@ -98,13 +98,13 @@ class SvgPlot:
                 f'M {x-r:.3f} {y+r:.3f} L {x+r:.3f} {y-r:.3f}" '
                 'stroke="#000000" stroke-width="1.50"/>')
 
-    def curve_wrapped(self, curve, color, width, step=0.01):
+    def curve_wrapped(self, curve, color, width):
         """Draw a curve by canonical fundamental-domain representatives.
 
         The polyline is split where the representative jumps across the
         domain boundary.
         """
-        canon = cv.to_canonical(curve.resampled(step).samples)
+        canon = cv.to_canonical(curve.resampled(self.step).samples)
         runs, cur = [], [canon[0]]
         for prev, nxt in zip(canon[:-1], canon[1:]):
             if np.max(np.abs(nxt - prev)) > 0.5:
@@ -135,7 +135,6 @@ class SvgPlot:
 
 def cmd_sample_moduli(cfg, args):
     G, T = md.sample_grid(cfg.delta, cfg.grid)
-    failures = 0
     if cfg.s == 0 and args.system == "F":
         # documented circle-fiber mode at s = 0: Re(h a) = 0 cuts a circle
         nus = np.linspace(0, 2 * math.pi, 36, endpoint=False)
@@ -176,10 +175,11 @@ def cmd_sample_moduli(cfg, args):
         f.write("gamma,theta,hx,hy,hz,s,F2,F3\n")
         for row in rows:
             f.write(",".join("%.17g" % v for v in row) + "\n")
+    # always 0: a failed grid solve exits 2 above; perfbench's gate reads it
     summary = {"histogram": hist, "min_corner_margin": margin,
-               "failures": failures, "rows": len(rows)}
+               "failures": 0, "rows": len(rows)}
     print(json.dumps(summary, sort_keys=True))
-    return EXIT_OK if failures <= cfg.failure_budget else EXIT_NUMERICAL
+    return EXIT_OK
 
 
 def _load_curve(path):

@@ -27,6 +27,16 @@ from .pillowcase import TWO_PI
 
 DEFAULT_TWIST_SIGNS = (1, 1, 1, 1)
 
+# continuation (arclength steps in the four unknowns, max-norm residuals)
+STEP_MIN = 1e-4
+STEP_MAX = 5e-2
+STEP_INIT = 1e-2
+CORRECTOR_ACCEPT = 1e-10
+MAX_STEPS = 40000
+N_SEEDS = 8
+CLOSURE_TOL = 1e-5
+RESIDUAL_TOL = 1e-9
+
 
 class ContinuationStall(RuntimeError):
     pass
@@ -42,19 +52,6 @@ class NonTransverse(RuntimeError):
 
 class BadDelta(ValueError):
     pass
-
-
-@dataclass
-class ComposeOptions:
-    step_min: float = 1e-4
-    step_max: float = 5e-2
-    step_init: float = 1e-2
-    corrector_tol: float = 1e-12
-    corrector_accept: float = 1e-10
-    max_steps: int = 40000
-    n_seeds: int = 8
-    closure_tol: float = 1e-5
-    residual_tol: float = 1e-9
 
 
 @dataclass
@@ -179,7 +176,7 @@ def _sample_arrays(samples):
             np.stack([y[2] for y in samples]))
 
 
-def trace_component(system, y0, opts):
+def trace_component(system, y0):
     """Pseudo-arclength trace of one closed solution component through y0.
 
     Steps whose tangent rotates by more than 60 degrees are rejected and the
@@ -187,23 +184,23 @@ def trace_component(system, y0, opts):
     and jumping across a fold would flip the traversal direction.
     """
     y, res, jac, frame = _corrector(system, y0)
-    if np.max(np.abs(res)) > opts.corrector_accept:
+    if np.max(np.abs(res)) > CORRECTOR_ACCEPT:
         raise ContinuationStall(f"seed corrector residual {np.max(np.abs(res)):.2e}")
     samples = [y]
     tan = _tangent5(jac, frame)
     tan0 = tan.copy()
-    ds = opts.step_init
+    ds = STEP_INIT
     far = 0.0
-    for _step in range(opts.max_steps):
+    for _step in range(MAX_STEPS):
         while True:
             y_pred = _apply(y, ds * _to4(tan, frame), frame)
             y_new, res_new, jac_new, frame_new = _corrector(system, y_pred, tangent5=tan)
-            if np.max(np.abs(res_new)) <= opts.corrector_accept:
+            if np.max(np.abs(res_new)) <= CORRECTOR_ACCEPT:
                 tan_new = _tangent5(jac_new, frame_new, prev5=tan)
                 if np.dot(tan_new, tan) >= 0.5:
                     break
             ds *= 0.5
-            if ds < opts.step_min:
+            if ds < STEP_MIN:
                 raise FoldUnresolved(
                     f"step underflow after {_step} steps near "
                     f"({y[0]:.3f}, {y[1]:.3f})")
@@ -211,15 +208,15 @@ def trace_component(system, y0, opts):
         samples.append(y)
         d0 = _ydist(y, samples[0])
         far = max(far, d0)
-        if far > 6 * opts.step_max and d0 < max(opts.closure_tol, 1.2 * ds):
+        if far > 6 * STEP_MAX and d0 < max(CLOSURE_TOL, 1.2 * ds):
             if np.dot(tan, tan0) > 0.9:
                 samples.append(samples[0])
                 return samples
-        ds = min(ds * 1.3, opts.step_max)
-    raise ContinuationStall(f"no closure after {opts.max_steps} steps")
+        ds = min(ds * 1.3, STEP_MAX)
+    raise ContinuationStall(f"no closure after {MAX_STEPS} steps")
 
 
-def _push_component(samples, s, opts):
+def _push_component(samples, s):
     """Restrict a traced component to the inner pillowcase as a Curve.
 
     A trace invariant under the extended involution covers its image in the
@@ -231,7 +228,7 @@ def _push_component(samples, s, opts):
     ys = _sample_arrays(samples)
     _, dists = _ydists(samples[0], tuple(a[:n] for a in ys))
     kmin = int(np.argmin(dists))
-    doubled = dists[kmin] < 3 * opts.step_max and n // 3 <= kmin <= 2 * n // 3 + 1
+    doubled = dists[kmin] < 3 * STEP_MAX and n // 3 <= kmin <= 2 * n // 3 + 1
     if doubled:
         g, t, h = md.iota_hat(*samples[0])
         G = np.append(ys[0][: kmin + 1], g)
@@ -242,7 +239,7 @@ def _push_component(samples, s, opts):
 
     f2, f3 = md.eval_F(G, T, H, s)
     res = np.maximum(np.abs(f2), np.abs(f3))
-    if np.max(res) > opts.residual_tol:
+    if np.max(res) > RESIDUAL_TOL:
         raise ContinuationStall(f"pushed sample residual {np.max(res):.2e}")
 
     lift = cv.unwrap_to_lift(_inner_canonical(G, T, H, s))
@@ -296,14 +293,13 @@ def _seed_rows(g, t, s):
     return np.repeat(far, 2), np.tile([1, -1], len(far))
 
 
-def compose_curve(curve, s, opts=None):
+def compose_curve(curve, s):
     """Compose an immersed curve with the moduli correspondence at parameter s.
 
     Loops away from the corners yield two closed components close to the
     input; arcs with corner endpoints yield closed components forming a
     homology figure eight supported near the arc.
     """
-    opts = opts or ComposeOptions()
     if not (0 < s < math.pi / 4):
         raise ValueError("s must lie in (0, pi/4)")
     fine = curve.resampled(min(0.02, curve.length() / 64))
@@ -320,7 +316,7 @@ def compose_curve(curve, s, opts=None):
     seg = np.linalg.norm(np.diff(lift, axis=0), axis=-1)
     cumlen = np.concatenate([[0.0], np.cumsum(seg)])
 
-    k = np.searchsorted(cumlen, np.linspace(0.08, 0.92, opts.n_seeds) * cumlen[-1])
+    k = np.searchsorted(cumlen, np.linspace(0.08, 0.92, N_SEEDS) * cumlen[-1])
     base = lift[np.clip(k, 1, len(lift) - 1)]
     rows, branch = _seed_rows(base[:, 0], base[:, 1], s)
     base = base[rows]
@@ -332,16 +328,16 @@ def compose_curve(curve, s, opts=None):
         if not ok:
             continue
         y, seed_res, _, _ = _corrector(system, (float(g), float(t), h))
-        if np.max(np.abs(seed_res)) > opts.corrector_accept:
+        if np.max(np.abs(seed_res)) > CORRECTOR_ACCEPT:
             continue
-        if any(min(np.min(d) for d in _ydists(y, rep)) < 3 * opts.step_max
+        if any(min(np.min(d) for d in _ydists(y, rep)) < 3 * STEP_MAX
                for rep in reps):
             continue
         try:
-            samples = trace_component(system, y, opts)
+            samples = trace_component(system, y)
         except (ContinuationStall, NonTransverse):
             continue
-        comp, prov, ys = _push_component(samples, s, opts)
+        comp, prov, ys = _push_component(samples, s)
         reps.append(ys)
         components.append(comp)
         provenance.append(prov)
@@ -406,7 +402,7 @@ def _cap(corner_lift, p_from, p_to, sweep_target, delta, n=120):
     return pts
 
 
-def model_map_vdelta(curve, delta, twist_signs=DEFAULT_TWIST_SIGNS, offset=None):
+def model_map_vdelta(curve, delta, twist_signs=DEFAULT_TWIST_SIGNS):
     """Explicit Dehn-twist model of the correspondence action.
 
     Loops away from the corner disks are doubled exactly.  Arcs are doubled
@@ -425,7 +421,7 @@ def model_map_vdelta(curve, delta, twist_signs=DEFAULT_TWIST_SIGNS, offset=None)
     if curve.kind != "arc":
         raise BadDelta("model map acts on loops and arcs")
 
-    offset = delta / 400.0 if offset is None else offset
+    offset = delta / 400.0
     fine = curve.resampled(min(0.01, delta / 25.0))
     pts = fine.samples
     c0 = pts[0]
@@ -471,15 +467,15 @@ def model_map_vdelta(curve, delta, twist_signs=DEFAULT_TWIST_SIGNS, offset=None)
     return ComposedCurve([out], [{}], 0.0, curve, is_connected=True)
 
 
-def compare_to_model(curve, s, delta, opts=None, twist_signs=DEFAULT_TWIST_SIGNS):
+def compare_to_model(curve, s, delta):
     """Hausdorff distance between the composed and model curves over P^delta.
 
     Samples are restricted to the part of both outputs lying over base points
     outside the corner disks (the doubled region, where the model equals the
     s = 0 restriction).
     """
-    composed = compose_curve(curve, s, opts)
-    model = model_map_vdelta(curve, delta, twist_signs=twist_signs)
+    composed = compose_curve(curve, s)
+    model = model_map_vdelta(curve, delta)
 
     def filtered(components, step=0.004):
         pts = []
@@ -496,6 +492,9 @@ def compare_to_model(curve, s, delta, opts=None, twist_signs=DEFAULT_TWIST_SIGNS
 # Generalized intersection points of a pair of test arcs
 
 
+GP_N_SEEDS = 24
+GP_MERGE_TOL = 1e-4
+GP_COND_TOL = 1e-6
 GP_MAX_ITER = 60
 GP_CONVERGED = 1e-12
 GP_STEP_CAP = 2.0
@@ -588,23 +587,23 @@ def _gauss_newton_gp(f0, f1, t0, t1, h, s):
     return t0, t1, h, ok, sv
 
 
-def count_generalized_points(arc0, arc1, s, n_seeds=24, merge_tol=1e-6,
-                             cond_tol=1e-6, details=False):
+def count_generalized_points(arc0, arc1, s, details=False):
     """Count solutions of {arc0(t0) = r0(m), arc1(t1) = r1(m)} over moduli points m.
 
-    Seeds are n_seeds arclength fractions of arc0 away from the corners, each
-    on both section branches; their fiber points come from one batched
+    Seeds are GP_N_SEEDS arclength fractions of arc0 away from the corners,
+    each on both section branches; their fiber points come from one batched
     _fiber_at call and their t1 from the arc1 sample nearest to the inner
     restriction.  All seeds then run together through the masked batched
     Gauss-Newton _gauss_newton_gp on the joint 4-dimensional system.  A
     seed that ends unconverged strictly inside both arcs raises
     md.NoConvergence; one that ends unconverged at an arc end cannot be an
     interior solution and is dropped.  Converged solutions strictly inside
-    both arcs are merged in seed order (seed-major, branch +1 before -1) by
-    the distance of their (t0, t1, h) keys, and every merged solution must
-    have a last-step Jacobian whose smallest singular value reaches
-    cond_tol, else NonTransverse is raised (also for a seed that converged
-    without a step, which has no Jacobian).
+    both arcs are merged in seed order (seed-major, branch +1 before -1)
+    when their (t0, t1, h) keys lie within GP_MERGE_TOL = 1e-4 of each
+    other, and every merged solution must have a last-step Jacobian whose
+    smallest singular value reaches GP_COND_TOL = 1e-6, else NonTransverse
+    is raised (also for a seed that converged without a step, which has no
+    Jacobian).
     Returns the number of merged solutions, or with details=True their
     records {key, t0, t1, h, sv}.
     """
@@ -613,7 +612,7 @@ def count_generalized_points(arc0, arc1, s, n_seeds=24, merge_tol=1e-6,
     f0, len0 = _arc_interp(arc0.samples)
     f1, len1 = _arc_interp(arc1.samples)
 
-    t0 = np.linspace(0.06, 0.94, n_seeds) * len0
+    t0 = np.linspace(0.06, 0.94, GP_N_SEEDS) * len0
     g, t = f0(t0)
     rows, branch = _seed_rows(g, t, s)
     t0, g, t = t0[rows], g[rows], t[rows]
@@ -646,11 +645,11 @@ def count_generalized_points(arc0, arc1, s, n_seeds=24, merge_tol=1e-6,
     merged = []
     for a, b, hk, sk in zip(t0[keep], t1[keep], h[keep], sv[keep]):
         key = np.concatenate([[a, b], hk])
-        if any(np.linalg.norm(key - m["key"]) < max(merge_tol, 1e-4) for m in merged):
+        if any(np.linalg.norm(key - m["key"]) < GP_MERGE_TOL for m in merged):
             continue
         merged.append({"key": key, "t0": a, "t1": b, "h": hk, "sv": sk})
     for m in merged:
-        if not m["sv"] >= cond_tol:
+        if not m["sv"] >= GP_COND_TOL:
             raise NonTransverse(
                 f"generalized point at t0={m['t0']:.4f} has singular value {m['sv']:.2e}")
     if details:

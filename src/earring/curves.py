@@ -29,6 +29,15 @@ def _nearest_corner_lift(point):
     return np.round(np.asarray(point, dtype=float) / math.pi) * math.pi
 
 
+def _drop_short_segments(pts):
+    """pts without the end of each segment shorter than 1e-12, and the
+    remaining segment vectors and lengths."""
+    keep = np.linalg.norm(np.diff(pts, axis=0), axis=-1) >= 1e-12
+    pts = pts[np.concatenate([[True], keep])]
+    d = np.diff(pts, axis=0)
+    return pts, d, np.linalg.norm(d, axis=-1)
+
+
 def corner_index_of_lift(point):
     g, t = (np.asarray(point) / math.pi).round().astype(int) % 2
     return {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3}[(int(g), int(t))]
@@ -86,8 +95,7 @@ class Curve:
 
     def resampled(self, step):
         """Uniform arclength resampling preserving kind and endpoints."""
-        pts = self.samples
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=-1)
+        pts, _, seg = _drop_short_segments(self.samples)
         u = np.concatenate([[0.0], np.cumsum(seg)])
         n = max(2, int(math.ceil(u[-1] / step)) + 1)
         uu = np.linspace(0.0, u[-1], n)
@@ -177,17 +185,9 @@ class PolylineProjector:
     """
 
     def __init__(self, points, closed):
-        self.pts = np.asarray(points, dtype=float)
+        self.pts, self.seg, self.len = _drop_short_segments(
+            np.asarray(points, dtype=float))
         self.closed = closed
-        d = np.diff(self.pts, axis=0)
-        self.seg = d
-        self.len = np.linalg.norm(d, axis=-1)
-        if np.any(self.len < 1e-12):
-            keep = np.concatenate([[True], self.len >= 1e-12])
-            self.pts = self.pts[keep]
-            d = np.diff(self.pts, axis=0)
-            self.seg = d
-            self.len = np.linalg.norm(d, axis=-1)
         self.dir = self.seg / self.len[:, None]
         self.cum = np.concatenate([[0.0], np.cumsum(self.len)])
 

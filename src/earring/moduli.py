@@ -42,6 +42,9 @@ NEWTON_MAX_ITER = 50
 NEWTON_CONVERGED = 1e-12
 NEWTON_ACCEPT = 1e-10
 CS_STEP = 1e-30        # complex-step size
+SWEEP_GRID = (200, 100)  # fiber_sweep's sphere grid (azimuth, polar)
+FIBER_MERGE_TOL = 1e-6
+CORNER_GAP_STEP = 1e-5  # corner_system_gap's first tau grid
 
 _AXES = np.eye(3)
 _IOTA_H = np.array([1.0, -1.0, -1.0])   # h -> -i h i on pure h
@@ -181,7 +184,7 @@ def _residual_norm(gamma, theta, h, s):
     return np.maximum(np.abs(h1), np.abs(h2))
 
 
-def newton_fiber(gamma, theta, h0, s, max_iter=NEWTON_MAX_ITER):
+def newton_fiber(gamma, theta, h0, s):
     """Batched sphere-constrained Newton for eval_H(gamma, theta, . , s) = 0.
 
     h is parameterized by two tangent coordinates at the current iterate and
@@ -193,7 +196,7 @@ def newton_fiber(gamma, theta, h0, s, max_iter=NEWTON_MAX_ITER):
     h = qt.normalize(np.asarray(h0, dtype=float))
 
     res = _residual_norm(gamma, theta, h, s)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         active = res > NEWTON_CONVERGED
         if not np.any(active):
             break
@@ -228,15 +231,6 @@ def newton_fiber(gamma, theta, h0, s, max_iter=NEWTON_MAX_ITER):
             scale = np.where(worse, scale * 0.5, scale)
         h, res = h_new, res_new
     return h, res, res <= NEWTON_ACCEPT
-
-
-@dataclass
-class FiberOptions:
-    delta: float = 0.05          # minimum corner distance of the base point
-    verify: bool = False         # run the dense spherical sweep oracle
-    sweep_azimuth: int = 200
-    sweep_polar: int = 100
-    merge_tol: float = 1e-6
 
 
 @dataclass
@@ -293,14 +287,13 @@ def sphere_grid(n_azimuth, n_polar):
                     axis=-1).reshape(-1, 3)
 
 
-def fiber_sweep(gamma, theta, s, opts=None):
+def fiber_sweep(gamma, theta, s):
     """Dense spherical sweep oracle: all zeros of eval_H(gamma, theta, ., s).
 
     Newton-polishes every grid point below a coarse residual threshold and
     merges the converged results at a scale well below the fiber separation.
     """
-    opts = opts or FiberOptions()
-    hgrid = sphere_grid(opts.sweep_azimuth, opts.sweep_polar)
+    hgrid = sphere_grid(*SWEEP_GRID)
     g = np.full(len(hgrid), float(gamma))
     t = np.full(len(hgrid), float(theta))
     res = _residual_norm(g, t, hgrid, s)
@@ -311,18 +304,19 @@ def fiber_sweep(gamma, theta, s, opts=None):
     return _merge(h[ok], r[ok], tol=1e-4)
 
 
-def solve_fiber(gamma, theta, s, opts=None):
+def solve_fiber(gamma, theta, s, delta=0.05, verify=False):
     """All zeros of eval_H(gamma, theta, ., s) on the traceless 2-sphere.
 
-    Newton seeded at the two sections ±sigma; with opts.verify a dense
-    spherical grid sweep cross-checks the solution set.
+    Newton seeded at the two sections ±sigma, merged within FIBER_MERGE_TOL.
+    delta is the smallest corner distance of the base point that is solved
+    (closer raises SeedDegenerate); with verify, the dense spherical sweep
+    fiber_sweep cross-checks the solution set.
     """
-    opts = opts or FiberOptions()
     if abs(s) >= math.pi / 4:
         raise ValueError(f"|s| = {abs(s):.3f} outside the admissible range [0, pi/4)")
-    if pc.corner_dist(gamma, theta) < opts.delta:
+    if pc.corner_dist(gamma, theta) < delta:
         raise SeedDegenerate(
-            f"base point ({gamma:.4f}, {theta:.4f}) is within {opts.delta} of a corner")
+            f"base point ({gamma:.4f}, {theta:.4f}) is within {delta} of a corner")
 
     hp, hm = sigma_sections(gamma, theta)
     seeds = np.stack([hp, hm])
@@ -332,11 +326,11 @@ def solve_fiber(gamma, theta, s, opts=None):
     if not np.all(ok):
         raise NoConvergence(
             f"Newton stalled at ({gamma:.4f}, {theta:.4f}), s={s}: residuals {res}")
-    h_list, residuals, mult = _merge(h, res, opts.merge_tol)
+    h_list, residuals, mult = _merge(h, res, FIBER_MERGE_TOL)
 
     verified = False
-    if opts.verify:
-        h_sweep, _, _ = fiber_sweep(gamma, theta, s, opts)
+    if verify:
+        h_sweep, _, _ = fiber_sweep(gamma, theta, s)
         if len(h_sweep) != len(h_list):
             raise NoConvergence(
                 f"sweep found {len(h_sweep)} solutions, Newton found {len(h_list)}")
@@ -369,7 +363,7 @@ def sample_grid(delta=0.2, n=50):
     raise ValueError(f"no {n} x {n} grid clears chordal corner distance {delta}")
 
 
-def solve_fiber_grid(gammas, thetas, s, newton_seed_sections=True):
+def solve_fiber_grid(gammas, thetas, s):
     """Batched two-seed fiber solve over flat arrays of base points.
 
     Returns (h_plus, h_minus, res_plus, res_minus) with one Newton run per
@@ -452,19 +446,19 @@ def corner_residuals(tau, s):
     return r1, r2
 
 
-def corner_system_gap(s, resolution=1e-5):
+def corner_system_gap(s):
     """min over tau in [0, pi] of max(|tau - s sin tau - pi/2|, |tau + s sin tau - pi/2|).
 
     Strictly positive for 0 < |s| < pi/4: the two corner equations have no
     common solution, so the restriction cannot hit a corner.
     """
-    tau = np.arange(0.0, math.pi + resolution, resolution)
+    tau = np.arange(0.0, math.pi + CORNER_GAP_STEP, CORNER_GAP_STEP)
     r1, r2 = corner_residuals(tau, s)
     worst = np.maximum(r1, r2)
     k = int(np.argmin(worst))
     # iterative grid refinement (the objective has a kink at the minimizer)
-    lo = max(0.0, tau[k] - 2 * resolution)
-    hi = min(math.pi, tau[k] + 2 * resolution)
+    lo = max(0.0, tau[k] - 2 * CORNER_GAP_STEP)
+    hi = min(math.pi, tau[k] + 2 * CORNER_GAP_STEP)
     best = float(worst[k])
     for _ in range(4):
         fine = np.linspace(lo, hi, 1001)

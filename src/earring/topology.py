@@ -160,17 +160,18 @@ def _lattice_tiles(moving_pts, fixed_pts):
 
 
 _JITTER_DIR = np.array([0.6180339887498949, 0.7861513777574233])
+JITTER_ATTEMPTS = 5
 
 
-def intersection_number(c1, c2, max_attempts=5):
+def intersection_number(c1, c2):
     """Signed and geometric crossing counts of two curves in the quotient.
 
     c2 is jittered deterministically (k * 1e-7 in a fixed direction) when a
-    grazing contact is detected, up to max_attempts times.
+    grazing contact is detected, up to JITTER_ATTEMPTS times.
     """
     P = np.asarray(c1.samples, dtype=float)
     base = np.asarray(c2.samples, dtype=float)
-    for attempt in range(max_attempts + 1):
+    for attempt in range(JITTER_ATTEMPTS + 1):
         Q0 = base + attempt * 1e-7 * _JITTER_DIR
         Qs = np.stack([Q + np.asarray(off) for Q in (Q0, -Q0)
                        for off in _lattice_tiles(Q, P)])
@@ -180,7 +181,7 @@ def intersection_number(c1, c2, max_attempts=5):
             continue
         pts = [(float(a), float(b), p, int(s)) for a, b, p, s in zip(uu, vv, pos, sgn)]
         return IntersectionReport(pts, int(np.sum(sgn)), len(pts))
-    raise NonTransverse(f"no transverse position after {max_attempts} jitter attempts")
+    raise NonTransverse(f"no transverse position after {JITTER_ATTEMPTS} jitter attempts")
 
 
 def _self_crossing_params(P, margin=1e-9):
@@ -189,7 +190,7 @@ def _self_crossing_params(P, margin=1e-9):
     return list(zip(uu, vv))
 
 
-def self_intersections(c, max_attempts=5):
+def self_intersections(c):
     """Transverse self-crossings of a curve in the quotient.
 
     Own-lift crossings come from non-adjacent segment pairs; crossings of
@@ -198,7 +199,7 @@ def self_intersections(c, max_attempts=5):
     """
     P = np.asarray(c.samples, dtype=float)
     count = len(_self_crossing_params(P))
-    for attempt in range(max_attempts + 1):
+    for attempt in range(JITTER_ATTEMPTS + 1):
         Q0 = P + attempt * 1e-7 * _JITTER_DIR
         Qs = np.stack([-Q0 + np.asarray(off) for off in _lattice_tiles(-Q0, P)]
                       + [Q0 + np.asarray(off) for off in _lattice_tiles(Q0, P)
@@ -396,6 +397,25 @@ def _panel_fig8(path_flat, center, eps, n_cap=500):
     raise ValueError("figure-eight cap orientation failed")
 
 
+def _spline(ctrl):
+    """Not-a-knot cubic spline through ctrl at uniform knots on [0, 1], at 600 points."""
+    y = np.asarray(ctrl)
+    k = len(y) - 1
+    # knot curvatures m: C2 at the inner knots, and a continuous third
+    # derivative at the second and the second-to-last knot (not-a-knot)
+    A = np.eye(k + 1, k=-1) + 4 * np.eye(k + 1) + np.eye(k + 1, k=1)
+    A[0, :3] = A[k, k - 2:] = (1.0, -2.0, 1.0)
+    rhs = np.zeros_like(y)
+    rhs[1:-1] = 6 * k ** 2 * (y[2:] - 2 * y[1:-1] + y[:-2])
+    m = np.linalg.solve(A, rhs)
+    x = np.linspace(0, 1, 600)
+    j = np.minimum((k * x).astype(int), k - 1)
+    b = (k * x - j)[:, None]
+    a = 1 - b
+    return (a * y[j] + b * y[j + 1]
+            + ((a ** 3 - a) * m[j] + (b ** 3 - b) * m[j + 1]) / (6 * k ** 2))
+
+
 def bigon_panels():
     """The two encoded local models of the doubling discrepancy.
 
@@ -406,22 +426,14 @@ def bigon_panels():
     around the corner, and the figure eight's self-crossing cuts the
     would-be bigon into a triangle.
     """
-    from scipy.interpolate import CubicSpline
-
     O = np.array([math.pi, math.pi])
-
-    def smooth(ctrl, n=600):
-        ctrl = np.asarray(ctrl)
-        t = np.linspace(0, 1, len(ctrl))
-        return CubicSpline(t, ctrl, axis=0)(np.linspace(0, 1, n))
-
     a_full = Curve("path", np.stack(
         [np.full(300, O[0]), O[1] + np.linspace(1.1, 0.02, 300)], axis=-1))
     b_ctrl = [_panel_polar(150, 0.95, O), _panel_polar(100, 0.66, O),
               _panel_polar(60, 0.52, O), _panel_polar(75, 0.4, O),
               _panel_polar(110, 0.32, O), _panel_polar(90, 0.26, O),
               _panel_polar(50, 0.22, O)]
-    b_fig8 = Curve("path", _panel_fig8(smooth(b_ctrl), O, 0.015))
+    b_fig8 = Curve("path", _panel_fig8(_spline(b_ctrl), O, 0.015))
 
     a_path = np.stack([np.full(300, O[0]), O[1] + np.linspace(1.1, 0.2, 300)],
                       axis=-1)
@@ -434,7 +446,7 @@ def bigon_panels():
     return (a_full, b_fig8), (a_fig8, b_plain)
 
 
-def count_bigons(c1, c2, max_attempts=5):
+def count_bigons(c1, c2):
     """Count innermost embedded bigon faces of a two-curve arrangement.
 
     The curves are taken in a single planar chart (their stored lifts); faces
@@ -443,7 +455,7 @@ def count_bigons(c1, c2, max_attempts=5):
     regions are out of scope.
     """
     P = np.asarray(c1.samples, dtype=float)
-    for attempt in range(max_attempts + 1):
+    for attempt in range(JITTER_ATTEMPTS + 1):
         Q = np.asarray(c2.samples, dtype=float) + attempt * 1e-7 * _JITTER_DIR
         try:
             uu, vv, _, _ = _crossings(P, Q[None], tol=1e-9)

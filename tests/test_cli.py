@@ -155,7 +155,8 @@ def test_global_out_reaches_the_command(tmp_path, monkeypatch, capsys):
     assert list(cwd.iterdir()) == []
 
 
-@pytest.mark.parametrize("data", [{"bogus": 1}, {"jobs": 2}, {"twist_signs": 3}, [1, 2]])
+@pytest.mark.parametrize("data", [{"bogus": 1}, {"jobs": 2}, {"twist_signs": 3}, [1, 2],
+                                  {"tol_residual": 1e-9}, {"failure_budget": 1}])
 def test_malformed_config_rejected(tmp_path, capsys, data):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(data))

@@ -176,7 +176,7 @@ def test_newton_corrects_section_seed():
 
 
 def test_solve_fiber_s0_two_sections():
-    sol = md.solve_fiber(1.1, 2.2, 0.0, md.FiberOptions(delta=0.2))
+    sol = md.solve_fiber(1.1, 2.2, 0.0, delta=0.2)
     assert sol.count() == 2
     hp, hm = md.sigma_sections(1.1, 2.2)
     d = min(np.linalg.norm(sol.h_list[0] - hp), np.linalg.norm(sol.h_list[0] - hm))
@@ -193,8 +193,7 @@ def test_solve_fiber_s0_circle_mode_under_F():
 
 
 def test_solve_fiber_verified_at_019():
-    sol = md.solve_fiber(math.pi / 2, math.pi / 3, 0.19,
-                         md.FiberOptions(delta=0.2, verify=True))
+    sol = md.solve_fiber(math.pi / 2, math.pi / 3, 0.19, delta=0.2, verify=True)
     assert sol.count() == 2 and sol.verified
     hp, hm = md.sigma_sections(math.pi / 2, math.pi / 3)
     for v in sol.h_list:
@@ -204,7 +203,7 @@ def test_solve_fiber_verified_at_019():
 
 def test_solve_fiber_corner_raises():
     with pytest.raises(md.SeedDegenerate):
-        md.solve_fiber(0.01, 0.01, 0.1, md.FiberOptions(delta=0.05))
+        md.solve_fiber(0.01, 0.01, 0.1, delta=0.05)
     with pytest.raises(ValueError):
         md.solve_fiber(1.0, 1.0, 1.0)
 
@@ -228,7 +227,7 @@ def test_restrict_s0_diagonal():
 
 
 def test_restrict_isolated_019():
-    sol = md.solve_fiber(math.pi / 2, math.pi / 3, 0.19, md.FiberOptions(delta=0.2))
+    sol = md.solve_fiber(math.pi / 2, math.pi / 3, 0.19, delta=0.2)
     diag = pc.normalize(math.pi / 2, math.pi / 3)
     for h in sol.h_list:
         p0, p1 = md.restrict(md.ModuliPoint(math.pi / 2, math.pi / 3, h, 0.19))
@@ -247,7 +246,7 @@ def test_restrict_corner_avoidance_spot_check():
 
 
 def test_validate_moduli_point():
-    sol = md.solve_fiber(1.2, 0.8, 0.1, md.FiberOptions(delta=0.2))
+    sol = md.solve_fiber(1.2, 0.8, 0.1, delta=0.2)
     m = md.ModuliPoint(1.2, 0.8, sol.h_list[0], 0.1)
     assert m.validate(tol=1e-9)
 
@@ -291,6 +290,6 @@ def test_corner_system_gap():
 
 
 def test_fiber_json():
-    sol = md.solve_fiber(1.0, 1.0, 0.05, md.FiberOptions(delta=0.2))
+    sol = md.solve_fiber(1.0, 1.0, 0.05, delta=0.2)
     obj = sol.to_json()
     assert obj["gamma"] == 1.0 and len(obj["h"]) == 2

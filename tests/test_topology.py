@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -319,3 +322,23 @@ def test_bigon_panels():
     assert tp.count_bigons(a_fig8, b_plain) == 0
     # the mechanism: the doubled side carries the single visible self-crossing
     assert len(tp._self_crossing_params(a_fig8.samples)) == 1
+
+
+def test_bigon_panels_match_scipy_spline(monkeypatch):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    panels = [c.samples for pair in tp.bigon_panels() for c in pair]
+    monkeypatch.setattr(tp, "_spline", lambda ctrl: interpolate.CubicSpline(
+        np.linspace(0, 1, len(ctrl)), np.asarray(ctrl), axis=0)(np.linspace(0, 1, 600)))
+    reference = [c.samples for pair in tp.bigon_panels() for c in pair]
+    for ours, ref in zip(panels, reference):
+        assert ours.shape == ref.shape
+        assert np.max(np.abs(ours - ref)) <= 1e-12
+
+
+def test_bigon_panels_do_not_import_scipy():
+    src = os.path.dirname(os.path.dirname(tp.__file__))
+    code = ("import sys\nfrom earring import topology as tp\ntp.bigon_panels()\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported'\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
