@@ -100,7 +100,7 @@ class Curve:
         n = max(2, int(math.ceil(u[-1] / step)) + 1)
         uu = np.linspace(0.0, u[-1], n)
         out = np.stack([np.interp(uu, u, pts[:, 0]), np.interp(uu, u, pts[:, 1])], axis=-1)
-        out[0], out[-1] = pts[0], pts[-1]
+        out[0], out[-1] = self.samples[0], self.samples[-1]
         return Curve(self.kind, out, corners=self.corners)
 
     def to_json(self):

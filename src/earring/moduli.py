@@ -44,6 +44,7 @@ NEWTON_ACCEPT = 1e-10
 CS_STEP = 1e-30        # complex-step size
 SWEEP_GRID = (200, 100)  # fiber_sweep's sphere grid (azimuth, polar)
 FIBER_MERGE_TOL = 1e-6
+FIBER_CORNER_DELTA = 0.05  # solve_fiber refuses base points closer to a corner
 CORNER_GAP_STEP = 1e-5  # corner_system_gap's first tau grid
 
 _AXES = np.eye(3)
@@ -241,7 +242,6 @@ class FiberSolution:
     h_list: np.ndarray                 # (n, 3)
     residuals: np.ndarray              # (n,)
     multiplicities: np.ndarray         # (n,) seeds merged into each solution
-    verified: bool = False
 
     def count(self):
         return len(self.h_list)
@@ -252,7 +252,6 @@ class FiberSolution:
             "h": [list(map(float, v)) for v in self.h_list],
             "residuals": [float(r) for r in self.residuals],
             "multiplicities": [int(m) for m in self.multiplicities],
-            "verified": self.verified,
         }
 
     def dumps(self):
@@ -304,19 +303,18 @@ def fiber_sweep(gamma, theta, s):
     return _merge(h[ok], r[ok], tol=1e-4)
 
 
-def solve_fiber(gamma, theta, s, delta=0.05, verify=False):
+def solve_fiber(gamma, theta, s):
     """All zeros of eval_H(gamma, theta, ., s) on the traceless 2-sphere.
 
     Newton seeded at the two sections ±sigma, merged within FIBER_MERGE_TOL.
-    delta is the smallest corner distance of the base point that is solved
-    (closer raises SeedDegenerate); with verify, the dense spherical sweep
-    fiber_sweep cross-checks the solution set.
+    A base point closer than FIBER_CORNER_DELTA to a corner raises
+    SeedDegenerate; the dense sweep fiber_sweep is the independent oracle.
     """
     if abs(s) >= math.pi / 4:
         raise ValueError(f"|s| = {abs(s):.3f} outside the admissible range [0, pi/4)")
-    if pc.corner_dist(gamma, theta) < delta:
-        raise SeedDegenerate(
-            f"base point ({gamma:.4f}, {theta:.4f}) is within {delta} of a corner")
+    if pc.corner_dist(gamma, theta) < FIBER_CORNER_DELTA:
+        raise SeedDegenerate(f"base point ({gamma:.4f}, {theta:.4f}) is within "
+                             f"{FIBER_CORNER_DELTA} of a corner")
 
     hp, hm = sigma_sections(gamma, theta)
     seeds = np.stack([hp, hm])
@@ -327,19 +325,7 @@ def solve_fiber(gamma, theta, s, delta=0.05, verify=False):
         raise NoConvergence(
             f"Newton stalled at ({gamma:.4f}, {theta:.4f}), s={s}: residuals {res}")
     h_list, residuals, mult = _merge(h, res, FIBER_MERGE_TOL)
-
-    verified = False
-    if verify:
-        h_sweep, _, _ = fiber_sweep(gamma, theta, s)
-        if len(h_sweep) != len(h_list):
-            raise NoConvergence(
-                f"sweep found {len(h_sweep)} solutions, Newton found {len(h_list)}")
-        for v in h_sweep:
-            if min(np.linalg.norm(v - w) for w in h_list) > 1e-6:
-                raise NoConvergence("sweep solution missed by seeded Newton")
-        verified = True
-    return FiberSolution(float(gamma), float(theta), float(s),
-                         h_list, residuals, mult, verified)
+    return FiberSolution(float(gamma), float(theta), float(s), h_list, residuals, mult)
 
 
 def sample_grid(delta=0.2, n=50):

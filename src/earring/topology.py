@@ -184,9 +184,9 @@ def intersection_number(c1, c2):
     raise NonTransverse(f"no transverse position after {JITTER_ATTEMPTS} jitter attempts")
 
 
-def _self_crossing_params(P, margin=1e-9):
+def _self_crossing_params(P):
     """Interior crossings between non-adjacent segments of one polyline."""
-    uu, vv, _, _ = _crossings(P, P[None], margin=margin, self_pairs=True)
+    uu, vv, _, _ = _crossings(P, P[None], margin=1e-9, self_pairs=True)
     return list(zip(uu, vv))
 
 

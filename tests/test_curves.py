@@ -38,6 +38,15 @@ def test_resample_preserves_ends():
     assert B.check_spacing(0.011)
 
 
+def test_resample_keeps_end_after_short_last_segment():
+    # a final segment shorter than the 1e-12 filter must not move the end
+    pts = np.linspace([0.3, 0.2], [2.1, 1.4], 17)
+    pts = np.insert(pts, -1, pts[-1] - 1e-13, axis=0)
+    B = cv.Curve("path", pts).resampled(0.01)
+    assert np.array_equal(B.samples[0], pts[0])
+    assert np.array_equal(B.samples[-1], pts[-1])
+
+
 def test_doubled_arc_lift_closes():
     A = cv.line_arc((0, 0), (math.pi, 0), n=33)
     closed = cv.doubled_arc_lift(A)

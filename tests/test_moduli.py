@@ -176,7 +176,7 @@ def test_newton_corrects_section_seed():
 
 
 def test_solve_fiber_s0_two_sections():
-    sol = md.solve_fiber(1.1, 2.2, 0.0, delta=0.2)
+    sol = md.solve_fiber(1.1, 2.2, 0.0)
     assert sol.count() == 2
     hp, hm = md.sigma_sections(1.1, 2.2)
     d = min(np.linalg.norm(sol.h_list[0] - hp), np.linalg.norm(sol.h_list[0] - hm))
@@ -193,8 +193,11 @@ def test_solve_fiber_s0_circle_mode_under_F():
 
 
 def test_solve_fiber_verified_at_019():
-    sol = md.solve_fiber(math.pi / 2, math.pi / 3, 0.19, delta=0.2, verify=True)
-    assert sol.count() == 2 and sol.verified
+    sol = md.solve_fiber(math.pi / 2, math.pi / 3, 0.19)
+    h_sweep, _, _ = md.fiber_sweep(math.pi / 2, math.pi / 3, 0.19)
+    assert sol.count() == 2 and len(h_sweep) == 2
+    for v in h_sweep:
+        assert min(np.linalg.norm(v - w) for w in sol.h_list) <= 1e-6
     hp, hm = md.sigma_sections(math.pi / 2, math.pi / 3)
     for v in sol.h_list:
         assert min(np.linalg.norm(v - hp), np.linalg.norm(v - hm)) < 0.3
@@ -203,7 +206,7 @@ def test_solve_fiber_verified_at_019():
 
 def test_solve_fiber_corner_raises():
     with pytest.raises(md.SeedDegenerate):
-        md.solve_fiber(0.01, 0.01, 0.1, delta=0.05)
+        md.solve_fiber(0.01, 0.01, 0.1)
     with pytest.raises(ValueError):
         md.solve_fiber(1.0, 1.0, 1.0)
 
@@ -227,7 +230,7 @@ def test_restrict_s0_diagonal():
 
 
 def test_restrict_isolated_019():
-    sol = md.solve_fiber(math.pi / 2, math.pi / 3, 0.19, delta=0.2)
+    sol = md.solve_fiber(math.pi / 2, math.pi / 3, 0.19)
     diag = pc.normalize(math.pi / 2, math.pi / 3)
     for h in sol.h_list:
         p0, p1 = md.restrict(md.ModuliPoint(math.pi / 2, math.pi / 3, h, 0.19))
@@ -246,7 +249,7 @@ def test_restrict_corner_avoidance_spot_check():
 
 
 def test_validate_moduli_point():
-    sol = md.solve_fiber(1.2, 0.8, 0.1, delta=0.2)
+    sol = md.solve_fiber(1.2, 0.8, 0.1)
     m = md.ModuliPoint(1.2, 0.8, sol.h_list[0], 0.1)
     assert m.validate(tol=1e-9)
 
@@ -290,6 +293,6 @@ def test_corner_system_gap():
 
 
 def test_fiber_json():
-    sol = md.solve_fiber(1.0, 1.0, 0.05, delta=0.2)
+    sol = md.solve_fiber(1.0, 1.0, 0.05)
     obj = sol.to_json()
     assert obj["gamma"] == 1.0 and len(obj["h"]) == 2
