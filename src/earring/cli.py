@@ -183,15 +183,29 @@ def cmd_sample_moduli(cfg, args):
 
 
 def _load_curve(path):
-    with open(path) as f:
-        return cv.Curve.from_json(json.load(f))
+    """The curve in a JSON file, or None after saying why it cannot be read."""
+    try:
+        with open(path) as f:
+            return cv.Curve.from_json(json.load(f))
+    except Exception as exc:
+        print(f"error: cannot read curve: {exc}", file=sys.stderr)
+
+
+def _save_curves(prefix, curve, components, color, **extra):
+    """SVG picture and JSON record of a command's output curves at prefix."""
+    plot = SvgPlot()
+    plot.frame()
+    plot.curve_wrapped(curve, "#777777", 1.0)
+    for comp in components:
+        plot.curve_wrapped(comp, color, 2.2)
+    plot.save(prefix + ".svg")
+    with open(prefix + ".json", "w") as f:
+        json.dump({"components": [c.to_json() for c in components], **extra}, f)
 
 
 def cmd_compose(cfg, args):
-    try:
-        curve = _load_curve(args.curve)
-    except Exception as exc:
-        print(f"error: cannot read curve: {exc}", file=sys.stderr)
+    curve = _load_curve(args.curve)
+    if curve is None:
         return EXIT_IO
     if cfg.s == 0:
         print(json.dumps({"mode": "s=0", "multiplicity": 2,
@@ -210,40 +224,21 @@ def cmd_compose(cfg, args):
         report["classifier"] = verdict
     else:
         report["doubled"] = len(out.components) == 2
-
-    plot = SvgPlot()
-    plot.frame()
-    plot.curve_wrapped(curve, "#777777", 1.0)
-    for comp in out.components:
-        plot.curve_wrapped(comp, "#cc0000", 2.2)
-    svg_path = (args.out or cfg.out) + ".svg"
-    plot.save(svg_path)
-    with open((args.out or cfg.out) + ".json", "w") as f:
-        json.dump({"components": [c.to_json() for c in out.components],
-                   "report": report}, f)
+    _save_curves(args.out or cfg.out, curve, out.components, "#cc0000", report=report)
     print(json.dumps(report, sort_keys=True, default=str))
     return EXIT_OK
 
 
 def cmd_model_map(cfg, args):
-    try:
-        curve = _load_curve(args.curve)
-    except Exception as exc:
-        print(f"error: cannot read curve: {exc}", file=sys.stderr)
+    curve = _load_curve(args.curve)
+    if curve is None:
         return EXIT_IO
     try:
         out = co.model_map_vdelta(curve, cfg.delta, twist_signs=cfg.twist_signs)
     except co.BadDelta as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    plot = SvgPlot()
-    plot.frame()
-    plot.curve_wrapped(curve, "#777777", 1.0)
-    for comp in out.components:
-        plot.curve_wrapped(comp, "#0044cc", 2.2)
-    plot.save((args.out or cfg.out) + ".svg")
-    with open((args.out or cfg.out) + ".json", "w") as f:
-        json.dump({"components": [c.to_json() for c in out.components]}, f)
+    _save_curves(args.out or cfg.out, curve, out.components, "#0044cc")
     print(json.dumps({"components": len(out.components),
                       "is_connected": out.is_connected}))
     return EXIT_OK
@@ -432,7 +427,11 @@ def main(argv=None):
         "corner-gap": cmd_corner_gap,
         "algebra": cmd_algebra,
     }
-    return handlers[args.command](cfg, args)
+    try:
+        return handlers[args.command](cfg, args)
+    except OSError as exc:         # an output path that cannot be written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

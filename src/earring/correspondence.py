@@ -1,14 +1,16 @@
 """Action of the moduli correspondence on immersed curves in the pillowcase.
 
-compose_curve traces the preimage of a curve under the outer restriction
-inside the gauge-fixed moduli space by pseudo-arclength continuation of
+compose_curve finds the preimage of a curve under the outer restriction
+inside the gauge-fixed moduli space, the solution set of
 
     { H1 = 0, H2 = 0, signed-distance-to-curve = 0 }
 
-in the four unknowns (gamma, theta, two sphere coordinates of h), then
-pushes the trace through the inner restriction.  model_map_vdelta applies
-the explicit local Dehn-twist model instead: doubling away from the corner
-disks and one full twist per corner disk.
+in the four unknowns (gamma, theta, two sphere coordinates of h), and pushes
+it through the inner restriction.  Away from the corners that set is two
+sheets over the curve, swept by one batched fiber solve; pseudo-arclength
+continuation only bridges the folds near the corners.  model_map_vdelta
+applies the explicit local Dehn-twist model instead: doubling away from the
+corner disks and one full twist per corner disk.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ MAX_STEPS = 40000
 N_SEEDS = 8
 CLOSURE_TOL = 1e-5
 RESIDUAL_TOL = 1e-9
+SWEEP_SEP_MIN = 0.5   # smallest fiber-branch separation |h+ - h-| of a swept row
 
 
 class ContinuationStall(RuntimeError):
@@ -76,10 +79,11 @@ class _System:
     def __init__(self, projector, s):
         self.proj = projector
         self.s = s
+        self.u = self.k = None   # arclength and segment of the last evaluation's foot
 
     def res_and_jac(self, g, t, h):
         """Residual (3,) and Jacobian (3, 4) in (dgamma, dtheta, du, dv)."""
-        sd, _, normal, _ = self.proj.project(np.array([g, t]))
+        sd, self.u, normal, self.k = self.proj.project(np.array([g, t]), near=self.k)
         e1, e2 = md._tangent_frame(h)
         eps = md.CS_STEP
 
@@ -162,32 +166,23 @@ def _ydist(y1, y2):
     return np.hypot(dg, dt) + np.sqrt(np.sum(dh * dh, axis=-1))
 
 
-def _ydists(y, ys):
-    """Distances from y to the samples ys = (G, T, H) and to their involution images.
-
-    The quotient distance to a sample is the smaller of the two.
-    """
-    return _ydist(y, ys), _ydist(y, md.iota_hat(*ys))
-
-
-def _sample_arrays(samples):
-    """(G, T, H) arrays of a list of gauge-fixed points."""
-    return (np.array([y[0] for y in samples]), np.array([y[1] for y in samples]),
-            np.stack([y[2] for y in samples]))
-
-
-def trace_component(system, y0):
+def trace_component(system, y0, heading=None, stop=None):
     """Pseudo-arclength trace of one closed solution component through y0.
 
     Steps whose tangent rotates by more than 60 degrees are rejected and the
     step is halved: the solution curve folds over the base near the corners,
-    and jumping across a fold would flip the traversal direction.
+    and jumping across a fold would flip the traversal direction.  heading,
+    a 5-vector (gamma, theta, h), orients the first tangent.  With stop, the
+    trace ends at the first accepted sample y for which stop(y) holds and is
+    an open path.  Returns the samples as arrays (G, T, H); a closed trace
+    repeats its first sample at the end.
     """
+    system.k = None
     y, res, jac, frame = _corrector(system, y0)
     if np.max(np.abs(res)) > CORRECTOR_ACCEPT:
         raise ContinuationStall(f"seed corrector residual {np.max(np.abs(res)):.2e}")
     samples = [y]
-    tan = _tangent5(jac, frame)
+    tan = _tangent5(jac, frame, prev5=heading)
     tan0 = tan.copy()
     ds = STEP_INIT
     far = 0.0
@@ -206,36 +201,38 @@ def trace_component(system, y0):
                     f"({y[0]:.3f}, {y[1]:.3f})")
         y, tan, frame = y_new, tan_new, frame_new
         samples.append(y)
+        if stop is not None and stop(y):
+            break
         d0 = _ydist(y, samples[0])
         far = max(far, d0)
-        if far > 6 * STEP_MAX and d0 < max(CLOSURE_TOL, 1.2 * ds):
-            if np.dot(tan, tan0) > 0.9:
-                samples.append(samples[0])
-                return samples
+        if far > 6 * STEP_MAX and d0 < max(CLOSURE_TOL, 1.2 * ds) and np.dot(tan, tan0) > 0.9:
+            samples.append(samples[0])
+            break
         ds = min(ds * 1.3, STEP_MAX)
-    raise ContinuationStall(f"no closure after {MAX_STEPS} steps")
+    else:
+        raise ContinuationStall(f"no closure after {MAX_STEPS} steps")
+    return (np.array([y[0] for y in samples]), np.array([y[1] for y in samples]),
+            np.stack([y[2] for y in samples]))
 
 
-def _push_component(samples, s):
-    """Restrict a traced component to the inner pillowcase as a Curve.
+def _push_component(G, T, H, swept, s):
+    """Restrict a closed component (G, T, H) to the inner pillowcase as a Curve.
 
-    A trace invariant under the extended involution covers its image in the
-    quotient twice; it is cut at the half period (the point closest to the
-    involution image of the start, which lies on the component exactly).
-    Returns the curve, its provenance and the (G, T, H) arrays of samples.
+    A component invariant under the extended involution covers its image in
+    the quotient twice; it is cut at the half period (the sample closest to
+    the involution image of the start, which lies on the component exactly).
+    Returns the curve and its provenance.
     """
-    n = len(samples) - 1
-    ys = _sample_arrays(samples)
-    _, dists = _ydists(samples[0], tuple(a[:n] for a in ys))
+    n = len(G) - 1
+    dists = _ydist(md.iota_hat(G[0], T[0], H[0]), (G[:n], T[:n], H[:n]))
     kmin = int(np.argmin(dists))
     doubled = dists[kmin] < 3 * STEP_MAX and n // 3 <= kmin <= 2 * n // 3 + 1
     if doubled:
-        g, t, h = md.iota_hat(*samples[0])
-        G = np.append(ys[0][: kmin + 1], g)
-        T = np.append(ys[1][: kmin + 1], t)
-        H = np.concatenate([ys[2][: kmin + 1], h[None]])
-    else:
-        G, T, H = ys
+        g, t, h = md.iota_hat(G[0], T[0], H[0])
+        G = np.append(G[: kmin + 1], g)
+        T = np.append(T[: kmin + 1], t)
+        H = np.concatenate([H[: kmin + 1], h[None]])
+        swept = np.append(swept[: kmin + 1], swept[0])
 
     f2, f3 = md.eval_F(G, T, H, s)
     res = np.maximum(np.abs(f2), np.abs(f3))
@@ -244,9 +241,9 @@ def _push_component(samples, s):
 
     lift = cv.unwrap_to_lift(_inner_canonical(G, T, H, s))
     curve = Curve("loop", lift)
-    prov = {"gamma": G, "theta": T, "h": H,
-            "residual": res, "doubled_upstairs": doubled}
-    return curve, prov, ys
+    prov = {"gamma": G, "theta": T, "h": H, "residual": res,
+            "doubled_upstairs": doubled, "swept": swept}
+    return curve, prov
 
 
 def _inner_canonical(gamma, theta, h, s):
@@ -293,12 +290,110 @@ def _seed_rows(g, t, s):
     return np.repeat(far, 2), np.tile([1, -1], len(far))
 
 
+def _sweep(lift, s):
+    """Both fiber branches over the rows of a closed constraint lift.
+
+    Rows are unrolled over the lift's period: row r sits at lift[r % m] +
+    (r // m) (lift[m] - lift[0]).  The rows far from the corners (_seed_rows)
+    are solved on both branches by one batched _fiber_at call.  A row is
+    regular when both converged, lie at least SWEEP_SEP_MIN apart, and the
+    step to the next row, |d(gamma, theta)| combined with the larger |dh| of
+    the two branches, is at most STEP_MAX, the longest continuation step.
+    Returns H (m, 2, 3), ok (m, 2) and the regular rows (m,).
+    """
+    m = len(lift) - 1
+    rows, branch = _seed_rows(lift[:-1, 0], lift[:-1, 1], s)
+    h, converged = _fiber_at(lift[rows, 0], lift[rows, 1], s, branch)
+    H = np.full((m, 2, 3), np.nan)
+    H[rows[::2]] = h.reshape(-1, 2, 3)
+    ok = np.zeros((m, 2), dtype=bool)
+    ok[rows[::2]] = converged.reshape(-1, 2)
+    dh = np.max(np.linalg.norm(np.roll(H, -1, axis=0) - H, axis=-1), axis=-1)
+    step = np.hypot(np.linalg.norm(np.diff(lift, axis=0), axis=-1), dh)
+    sep = np.linalg.norm(H[:, 0] - H[:, 1], axis=-1)
+    return H, ok, ok.all(axis=1) & (sep >= SWEEP_SEP_MIN) & (step <= STEP_MAX)
+
+
+def _swept_rows(lift, H, r, b):
+    """(gamma, theta, h, swept) of the unrolled rows r (an array) on branch b."""
+    m = len(lift) - 1
+    gt = lift[r % m] + (r // m)[:, None] * (lift[-1] - lift[0])
+    return gt[:, 0], gt[:, 1], H[r % m, b], np.ones(len(r), dtype=bool)
+
+
+def _walk(system, lift, H, reg, r0, b0):
+    """The component through the regular row r0 on branch b0, from a _sweep.
+
+    Its run of regular rows is taken forward from r0; the fold window at the
+    end is bridged by trace_component up to the first sample over regular
+    rows, on one of their branches (reentry), whose run is taken on in the
+    direction of arrival, and so on until the walk is back at r0 on branch
+    b0.  Returns closed arrays (G, T, H, swept); raises ContinuationStall
+    when the walk comes back to a row it took before anywhere else.
+    """
+    m = len(lift) - 1
+    base = (len(system.proj.len) - m) // 2    # three periods are projected, or one
+    q_last = left = hit = None
+
+    def reentry(y):
+        nonlocal q_last, left, hit
+        # the corrector's last evaluation, and with it system.u, was at y
+        q = float(np.interp(system.u, system.proj.cum, np.arange(len(system.proj.cum)))) - base
+        i = math.floor(q)
+        lo, hi = i % m, (i + 1) % m
+        prev, q_last = q_last, q
+        if not (reg[lo] and reg[hi]):
+            left = True
+            return False
+        dist = np.linalg.norm(y[2] - (1 - (q - i)) * H[lo] - (q - i) * H[hi], axis=-1)
+        hit = (q, int(np.argmin(dist)), 1 if q > prev else -1)
+        return left and np.min(dist) < SWEEP_SEP_MIN / 2
+
+    seen = np.zeros((m, 2), dtype=bool)
+    parts, r, b, d = [], r0, b0, 1
+    while True:
+        e = r
+        while reg[(e + d) % m] and not (b == b0 and (e + d - r0) % m == 0):
+            e += d
+        rows = np.arange(r, e + d, d)
+        if seen[rows % m, b].any():
+            raise ContinuationStall("sheet walk came back to a swept row")
+        seen[rows % m, b] = True
+        closed = reg[(e + d) % m]           # stopped at r0, not at a fold window
+        parts.append(_swept_rows(lift, H, np.append(rows, e + d) if closed else rows, b))
+        if closed:
+            break
+        g, t, _, _ = _swept_rows(lift, H, np.array([e - d, e + d]), b)
+        q_last, left = float(e), False
+        bridge = trace_component(system, tuple(a[-1] for a in parts[-1][:3]),
+                                 (g[1] - g[0], t[1] - t[0], 0.0, 0.0, 0.0), reentry)
+        parts.append((*(a[1:] for a in bridge), np.zeros(len(bridge[0]) - 1, dtype=bool)))
+        q, b, d = hit
+        r = math.ceil(q) if d > 0 else math.floor(q)
+        j = (r - r0) % m
+        if b == b0 and d > 0 and seen[r % m, b] and j < len(parts[0][0]):
+            # the bridge came back past r0: start the component at r
+            parts[0] = tuple(a[j:] for a in parts[0])
+            parts.append(_swept_rows(lift, H, np.array([r]), b))
+            break
+    return tuple(np.concatenate(a) for a in zip(*parts))
+
+
 def compose_curve(curve, s):
     """Compose an immersed curve with the moduli correspondence at parameter s.
 
     Loops away from the corners yield two closed components close to the
     input; arcs with corner endpoints yield closed components forming a
     homology figure eight supported near the arc.
+
+    The curve is resampled at step min(0.02, length / 64) and both fiber
+    branches are swept over its constraint lift (_sweep).  Components are
+    sought from N_SEEDS rows at arclength fractions 0.08 ... 0.92, on both
+    branches and regular rows first, skipping seeds within 3 STEP_MAX of a
+    found component or its involution image.  From a regular seed a component is walked (_walk) and
+    oriented as continuation from the seed would run; from any other seed,
+    or when the walk fails, it is traced by continuation all the way round.
+    Each component's provenance marks its swept samples in "swept".
     """
     if not (0 < s < math.pi / 4):
         raise ValueError("s must lie in (0, pi/4)")
@@ -311,34 +406,35 @@ def compose_curve(curve, s):
         tiled = lift
     projector = cv.PolylineProjector(tiled, closed=True)
     system = _System(projector, s)
+    H, ok, reg = _sweep(lift, s)
 
-    total = fine.length() if curve.kind == "loop" else 2 * fine.length()
     seg = np.linalg.norm(np.diff(lift, axis=0), axis=-1)
     cumlen = np.concatenate([[0.0], np.cumsum(seg)])
+    seeds = np.searchsorted(cumlen, np.linspace(0.08, 0.92, N_SEEDS) * cumlen[-1]) % len(H)
 
-    k = np.searchsorted(cumlen, np.linspace(0.08, 0.92, N_SEEDS) * cumlen[-1])
-    base = lift[np.clip(k, 1, len(lift) - 1)]
-    rows, branch = _seed_rows(base[:, 0], base[:, 1], s)
-    base = base[rows]
-    hs, fiber_ok = _fiber_at(base[:, 0], base[:, 1], s, branch)
-
-    components, provenance = [], []
-    reps = []
-    for (g, t), h, ok in zip(base, hs, fiber_ok):
-        if not ok:
-            continue
-        y, seed_res, _, _ = _corrector(system, (float(g), float(t), h))
-        if np.max(np.abs(seed_res)) > CORRECTOR_ACCEPT:
-            continue
-        if any(min(np.min(d) for d in _ydists(y, rep)) < 3 * STEP_MAX
-               for rep in reps):
+    starts = [(r, b) for r, b in zip(np.repeat(seeds, 2), np.tile([0, 1], N_SEEDS)) if ok[r, b]]
+    found, components, provenance = [], [], []
+    for r, b in sorted(starts, key=lambda rb: not reg[rb[0]]):
+        y = tuple(a[0] for a in _swept_rows(lift, H, np.array([r]), b)[:3])
+        iy = md.iota_hat(*y)
+        if any(min(np.min(_ydist(y, f)), np.min(_ydist(iy, f))) < 3 * STEP_MAX
+               for f in found):
             continue
         try:
-            samples = trace_component(system, y)
-        except (ContinuationStall, NonTransverse):
-            continue
-        comp, prov, ys = _push_component(samples, s)
-        reps.append(ys)
+            if not reg[r]:
+                raise ContinuationStall("seed row is not swept")
+            *ys, swept = _walk(system, lift, H, reg, r, b)
+            _, jac, frame = system.res_and_jac(*y)    # orient along the null vector at y
+            if np.dot(_tangent5(jac, frame)[:2], [ys[0][1] - ys[0][0], ys[1][1] - ys[1][0]]) < 0:
+                ys, swept = [a[::-1] for a in ys], swept[::-1]
+        except (ContinuationStall, NonTransverse, FoldUnresolved):
+            try:
+                ys = trace_component(system, y)
+            except (ContinuationStall, NonTransverse):
+                continue
+            swept = np.zeros(len(ys[0]), dtype=bool)
+        comp, prov = _push_component(*ys, swept, s)
+        found.append(tuple(ys))
         components.append(comp)
         provenance.append(prov)
     if not components:

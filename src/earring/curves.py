@@ -18,6 +18,7 @@ from . import pillowcase as pc
 from .pillowcase import TWO_PI
 
 STEP_MAX = 0.05
+PROJECT_WINDOW = 8   # segments searched on either side of a previous foot
 
 
 class CurveError(ValueError):
@@ -191,51 +192,63 @@ class PolylineProjector:
         self.dir = self.seg / self.len[:, None]
         self.cum = np.concatenate([[0.0], np.cumsum(self.len)])
 
-    def project(self, x):
-        """(signed distance, arclength u, smoothed unit normal) at x (real 2-vector)."""
+    def project(self, x, near=None):
+        """(signed distance, arclength u, smoothed unit normal, segment k) at x.
+
+        With near, a segment index, only the segments within PROJECT_WINDOW of
+        it are searched, and all of them when the nearest lies at the window's
+        edge.  A continuation step moves a few segments at most, so the window
+        holds the foot; where an immersed curve passes close to itself it
+        also keeps the foot on the strand being followed.
+        """
         x = np.asarray(x, dtype=float)
-        t, foot, k = self._feet(x)
-        return self._at(x, int(k), t, foot)
+        nseg, k = len(self.len), None
+        if near is not None and nseg > 2 * PROJECT_WINDOW + 1:
+            idx = np.arange(near - PROJECT_WINDOW, near + PROJECT_WINDOW + 1)
+            idx = idx % nseg if self.closed else idx[(idx >= 0) & (idx < nseg)]
+            j = int(self._nearest(x, idx))
+            if 0 < j < len(idx) - 1 or (not self.closed and idx[j] in (0, nseg - 1)):
+                k = int(idx[j])
+        if k is None:
+            k = int(self._nearest(x, slice(None)))
+        sd, u, normal = self._at(x[None], np.array([k]))
+        return float(sd[0]), float(u[0]), normal[0], k
 
     def signed_distances(self, xs):
         """`project`'s signed distance at each row of xs (b, 2), in row blocks."""
         step = max(1, (1 << 16) // len(self.len))
-        sd = []
-        for x in np.split(xs, np.arange(step, len(xs), step)):
-            t, foot, k = self._feet(x)
-            sd += [self._at(*row)[0] for row in zip(x, k.tolist(), t, foot)]
-        return np.array(sd)
+        return np.concatenate([self._at(x, self._nearest(x, slice(None)))[0]
+                               for x in np.split(xs, np.arange(step, len(xs), step))])
 
-    def _feet(self, x):
-        """Foot parameters, feet on each segment and nearest segment of x (..., 2)."""
-        rel = x[..., None, :] - self.pts[:-1]
-        t = np.einsum("...ij,ij->...i", rel, self.dir)
-        t = np.clip(t, 0.0, self.len)
-        foot = self.pts[:-1] + t[..., None] * self.dir
-        d2 = np.sum((x[..., None, :] - foot) ** 2, axis=-1)
-        return t, foot, np.argmin(d2, axis=-1)
+    def _nearest(self, x, idx):
+        """Which of the segments idx lies nearest to each row of x (..., 2)."""
+        p, d = self.pts[:-1][idx], self.dir[idx]
+        rx, ry = x[..., :1] - p[:, 0], x[..., 1:] - p[:, 1]
+        t = np.minimum(np.maximum(rx * d[:, 0] + ry * d[:, 1], 0.0), self.len[idx])
+        return np.argmin((rx - t * d[:, 0]) ** 2 + (ry - t * d[:, 1]) ** 2, axis=-1)
 
-    def _at(self, x, k, t, foot):
-        """project's output at x, nearest to segment k (t, foot: all segments)."""
-        tangent = self._smooth_tangent(k, t[k])
-        normal = np.array([-tangent[1], tangent[0]])
-        return float(np.dot(x - foot[k], normal)), self.cum[k] + t[k], normal, foot[k]
+    def _at(self, x, k):
+        """Signed distances, arclengths and normals of rows x (b, 2) with feet on segments k.
 
-    def _smooth_tangent(self, k, tk):
-        blend = 0.5 * self.len[k]
-        t = self.dir[k]
-        nseg = len(self.dir)
-        if tk < blend:
-            j = k - 1 if k > 0 else (nseg - 1 if self.closed else None)
-            if j is not None:
-                w = 0.5 * (1.0 - tk / blend)
-                t = (1 - w) * self.dir[k] + w * self.dir[j]
-        elif self.len[k] - tk < blend:
-            j = k + 1 if k < nseg - 1 else (0 if self.closed else None)
-            if j is not None:
-                w = 0.5 * (1.0 - (self.len[k] - tk) / blend)
-                t = (1 - w) * self.dir[k] + w * self.dir[j]
-        return t / np.linalg.norm(t)
+        The tangent blends into the neighbouring segment's direction over the
+        half of the segment nearer the joint, with weight rising linearly to
+        1/2 at the joint (no neighbour at an open polyline's ends).
+        """
+        nseg, p, d, length = len(self.len), self.pts[k], self.dir[k], self.len[k]
+        t = np.minimum(np.maximum((x[:, 0] - p[:, 0]) * d[:, 0]
+                                  + (x[:, 1] - p[:, 1]) * d[:, 1], 0.0), length)
+        back = t < 0.5 * length
+        w = 0.5 * np.maximum(1.0 - np.where(back, t, length - t) / (0.5 * length), 0.0)
+        j = np.where(back, k - 1, k + 1)
+        if self.closed:
+            j %= nseg
+        else:
+            w = np.where((j < 0) | (j >= nseg), 0.0, w)
+            j = np.clip(j, 0, nseg - 1)
+        tan = (1 - w)[:, None] * d + w[:, None] * self.dir[j]
+        tan /= np.hypot(tan[:, 0], tan[:, 1])[:, None]
+        normal = np.stack([-tan[:, 1], tan[:, 0]], axis=-1)
+        return np.sum((x - p - t[:, None] * d) * normal, axis=1), self.cum[k] + t, normal
 
 
 # ---------------------------------------------------------------------------
@@ -272,21 +285,19 @@ def unwrap_to_lift(canonical):
     """Continuous lift of a canonical P-sample sequence.
 
     Each successive point is replaced by its closest representative under the
-    lattice and the involution relative to the previous lifted point.
+    lattice and the involution relative to the previous lifted point.  Against
+    its predecessor a point either keeps or flips the involution sign, so the
+    signs are a running parity of the flips, restarted at exact ties (where
+    the unflipped point is kept); the lattice steps then add up.
     """
-    out = np.empty_like(canonical)
-    out[0] = canonical[0]
-    for i in range(1, len(canonical)):
-        g, t = canonical[i]
-        best, bd = None, None
-        for sg, st in ((g, t), (-g, -t)):
-            dg = sg - out[i - 1, 0]
-            dt = st - out[i - 1, 1]
-            dg -= np.round(dg / TWO_PI) * TWO_PI
-            dt -= np.round(dt / TWO_PI) * TWO_PI
-            d = math.hypot(dg, dt)
-            if bd is None or d < bd:
-                bd = d
-                best = (out[i - 1, 0] + dg, out[i - 1, 1] + dt)
-        out[i] = best
-    return out
+    c = np.asarray(canonical, dtype=float)
+
+    def wrap(d):
+        return d - np.round(d / TWO_PI) * TWO_PI
+
+    same = np.hypot(*wrap(c[1:] - c[:-1]).T)
+    flip = np.hypot(*wrap(c[1:] + c[:-1]).T)
+    flips = np.cumsum(flip < same)
+    parity = (flips - np.maximum.accumulate(np.where(flip == same, flips, 0))) % 2
+    rep = np.concatenate([[1.0], 1.0 - 2.0 * parity])[:, None] * c
+    return rep[0] + np.concatenate([[[0.0, 0.0]], np.cumsum(wrap(np.diff(rep, axis=0)), axis=0)])

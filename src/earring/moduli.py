@@ -28,7 +28,6 @@ input so Jacobians are computed by complex-step differentiation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -254,9 +253,6 @@ class FiberSolution:
             "multiplicities": [int(m) for m in self.multiplicities],
         }
 
-    def dumps(self):
-        return json.dumps(self.to_json())
-
 
 def _merge(h, res, tol):
     """Merge near-duplicate sphere points, keeping the best residual."""
@@ -336,17 +332,38 @@ def sample_grid(delta=0.2, n=50):
     retreats from the corners to flat distance ~ 2s, so for s up to 0.19 the
     flat-metric delta = 0.2 disks would not clear the retreat zone, while the
     chordal ones do.  The grid is uniform over [a, pi - a] x [0, 2 pi) with
-    the smallest inset a (in 1e-3 steps) clearing the chordal disks.
+    the smallest inset a in the sequence 1e-3, 2e-3, ... (accumulated, as a
+    loop adding 1e-3 would) clearing the chordal disks.
+
+    The inset is found by bisection, since clearing is monotone in a (for
+    delta < 1; corners across the base are at chordal distance >= 1).  Row j
+    sits at gamma = a + j (pi - 2a) / (n - 1), so every row moves away from
+    its nearer edge as a grows.  At offsets x from that edge and y from a
+    corner's theta the squared chordal distance is g(x) + g(y) + g(x - y),
+    g(u) = (1 - cos u)^2.  The theta grid is symmetric about each corner's
+    theta, so a pair of columns +-y comes to g(x) + g(|y|) + g(|x - |y||),
+    nondecreasing in x for |y| <= x; columns with |y| > x lie at least
+    2 g(x) away, which the column theta = 0 attains.  So each row's distance
+    from the corners grows with a, and with it the grid's.
     """
-    a = 1e-3
-    while a < math.pi / 2:
+    the = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    insets = np.cumsum(np.full(int(math.pi / 2 / 1e-3) + 1, 1e-3))
+    insets = insets[insets < math.pi / 2]
+
+    def grid(a):
         gam = np.linspace(a, math.pi - a, n)
-        the = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        G, T = (x.ravel() for x in np.meshgrid(gam, the, indexing="ij"))
-        if float(np.min(pc.corner_dist_chordal(G, T))) >= delta:
-            return G, T
-        a += 1e-3
-    raise ValueError(f"no {n} x {n} grid clears chordal corner distance {delta}")
+        return tuple(x.ravel() for x in np.meshgrid(gam, the, indexing="ij"))
+
+    lo, hi = 0, len(insets)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if float(np.min(pc.corner_dist_chordal(*grid(insets[mid])))) >= delta:
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo == len(insets):
+        raise ValueError(f"no {n} x {n} grid clears chordal corner distance {delta}")
+    return grid(insets[lo])
 
 
 def solve_fiber_grid(gammas, thetas, s):

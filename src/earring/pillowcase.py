@@ -8,7 +8,6 @@ representative with gamma in [0, pi]; the four corners (0,0), (0,pi),
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -60,9 +59,6 @@ class PillPoint:
     def from_json(obj):
         return normalize(obj["gamma"], obj["theta"])
 
-    def dumps(self):
-        return json.dumps(self.to_json())
-
 
 def _corner_index(gamma, theta):
     if abs(math.sin(gamma)) >= CORNER_TOL or abs(math.sin(theta)) >= CORNER_TOL:
@@ -99,11 +95,6 @@ def normalize(gamma, theta):
     """
     g, t = _canonical(gamma, theta)
     return PillPoint(g, t, _corner_index(g, t))
-
-
-def corner(index):
-    g, t = CORNERS[index]
-    return PillPoint(g, t, index)
 
 
 def dist(p1, p2):

@@ -137,6 +137,30 @@ def test_counts_refuses_s0():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["sample-moduli", "compose", "model-map"])
+@pytest.mark.parametrize("target", ["directory", "missing parent"])
+def test_unwritable_output_exits_4(tmp_path, command, target):
+    curve = tmp_path / "loop.json"
+    curve.write_text(json.dumps(
+        cv.circle_loop((math.pi / 2, math.pi / 2), 0.4, n=65).to_json()))
+    if target == "directory":
+        stem = tmp_path / "out"
+        for suffix in (".csv", ".svg"):
+            (tmp_path / f"out{suffix}").mkdir()
+    else:
+        stem = tmp_path / "missing" / "out"
+    argv = {"sample-moduli": ["--s", "0", "--grid", "6", "sample-moduli", "--out", f"{stem}.csv"],
+            "compose": ["--s", "0.05", "compose", str(curve), "--out", str(stem)],
+            "model-map": ["model-map", str(curve), "--out", str(stem)]}[command]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "earring.cli", *argv],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error: cannot write output: ")
+
+
 def test_bad_config_rejected(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"s": 2.0}))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from earring import correspondence as co
 from earring import curves as cv
@@ -226,19 +228,79 @@ def test_corrector_returns_its_final_evaluation():
 
 
 def test_vectorized_quotient_distance():
+    # _ydist against sample arrays equals the distance to each sample, also
+    # through the involution, where either argument may carry the image
     rng = np.random.default_rng(7)
     n = 40
     g, t = rng.uniform(-4, 10, (2, n))
     h = rng.normal(size=(n, 3))
     h /= np.linalg.norm(h, axis=-1, keepdims=True)
     samples = [(g[k], t[k], h[k]) for k in range(n)]
-    ys = co._sample_arrays(samples)
     for y in [samples[3], (samples[5][0] + 0.01, -samples[5][1], h[9]),
               (1.0, 2.0, np.array([0.0, 0.6, 0.8]))]:
-        direct, iota = co._ydists(y, ys)
+        direct = co._ydist(y, (g, t, h))
+        iota = co._ydist(md.iota_hat(*y), (g, t, h))
         for k, (gk, tk, hk) in enumerate(samples):
             assert direct[k] == co._ydist(y, (gk, tk, hk))
             assert iota[k] == co._ydist(y, (-gk, -tk, hk * [1.0, -1.0, -1.0]))
-        scalar = min(min(co._ydist(y, q), co._ydist(y, md.iota_hat(*q)))
-                     for q in samples)
-        assert np.min(np.minimum(direct, iota)) == scalar
+
+
+def _continuation_components(loop, s):
+    """Both branches at one sample of a loop traced all the way round, pushed."""
+    fine = loop.resampled(min(0.02, loop.length() / 64))
+    system = co._System(cv.PolylineProjector(fine.samples, closed=True), s)
+    g, t = fine.samples[len(fine) // 3]
+    h, ok = co._fiber_at(np.array([g, g]), np.array([t, t]), s, np.array([1, -1]))
+    comps = []
+    for hk in h[ok]:
+        ys = co.trace_component(system, (g, t, hk))
+        if all(np.min(co._ydist((g, t, hk), f)) >= 3 * co.STEP_MAX for f in comps):
+            comps.append(ys)
+    return [co._push_component(*ys, np.zeros(len(ys[0]), dtype=bool), s)[0] for ys in comps]
+
+
+def _canon(curve):
+    return cv.to_canonical(curve.resampled(0.01).samples)
+
+
+@settings(max_examples=10)
+@given(st.booleans(), st.floats(0.3, 0.6), st.floats(0.3, 0.6),
+       st.floats(0.0, 1.0), st.floats(0.0, 2 * PI), st.sampled_from([0.01, 0.05, 0.1]))
+def test_sweep_agrees_with_continuation(is_circle, ra, rb, where, theta0, s):
+    # random circles and ellipses at corner distance >= 0.3
+    rb = ra if is_circle else rb
+    gamma0 = 0.3 + ra + where * (PI - 0.6 - 2 * ra)
+    ang = np.linspace(0.0, 2 * PI, 161)
+    pts = np.stack([gamma0 + ra * np.cos(ang), theta0 + rb * np.sin(ang)], axis=-1)
+    pts[-1] = pts[0]
+    loop = cv.Curve("loop", pts)
+    assert float(np.min(pc.corner_dist(pts[:, 0], pts[:, 1]))) >= 0.3 - 1e-12
+    swept = co.compose_curve(loop, s).components
+    traced = _continuation_components(loop, s)
+    assert len(swept) == len(traced)
+    for a in swept:
+        assert min(cv.hausdorff(_canon(a), _canon(b)) for b in traced) < co.STEP_MAX
+    for b in traced:
+        assert min(cv.hausdorff(_canon(a), _canon(b)) for a in swept) < co.STEP_MAX
+
+
+def test_sweep_covers_loops_and_most_of_arcs(composed_loop, composed_a0):
+    def share(out):
+        swept = np.concatenate([p["swept"] for p in out.provenance])
+        return np.count_nonzero(swept) / len(swept)
+
+    assert share(composed_loop[1]) == 1.0
+    shares = [share(composed_a0[1])]
+    for p, q in [((0, 0), (PI, PI)), ((PI, 0), (PI, PI)), ((0, 0), (0, PI))]:
+        shares.append(share(co.compose_curve(cv.line_arc(p, q, n=129), 0.19)))
+    assert min(shares) >= 0.6, shares
+
+
+def test_unswept_seeds_fall_back_to_continuation(monkeypatch):
+    # no row is regular: every component is traced all the way round
+    monkeypatch.setattr(co, "SWEEP_SEP_MIN", 10.0)
+    A0 = cv.line_arc((0, 0), (PI, 0), n=129)
+    out = co.compose_curve(A0, 0.19)
+    assert out.component_count() == 1
+    assert not np.any(out.provenance[0]["swept"])
+    assert tp.classify_homology_fig8(out.components, A0, 0.19)["is_homology_fig8"]

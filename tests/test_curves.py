@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from earring import curves as cv
 from earring import pillowcase as pc
@@ -71,6 +73,60 @@ def test_unwrap_continuous():
     lift = cv.unwrap_to_lift(canon)
     steps = np.linalg.norm(np.diff(lift, axis=0), axis=-1)
     assert np.max(steps) < 0.1
+
+
+def _unwrap_by_loop(canonical):
+    """The per-sample loop that unwrap_to_lift vectorizes."""
+    out = np.empty_like(canonical)
+    out[0] = canonical[0]
+    for i in range(1, len(canonical)):
+        g, t = canonical[i]
+        best, bd = None, None
+        for sg, st_ in ((g, t), (-g, -t)):
+            dg = sg - out[i - 1, 0]
+            dt = st_ - out[i - 1, 1]
+            dg -= np.round(dg / (2 * math.pi)) * 2 * math.pi
+            dt -= np.round(dt / (2 * math.pi)) * 2 * math.pi
+            d = math.hypot(dg, dt)
+            if bd is None or d < bd:
+                bd = d
+                best = (out[i - 1, 0] + dg, out[i - 1, 1] + dt)
+        out[i] = best
+    return out
+
+
+@settings(max_examples=100)
+@given(st.floats(-10, 10), st.floats(-10, 10),
+       st.lists(st.floats(0, 2 * math.pi), min_size=1, max_size=200))
+def test_unwrap_equals_loop(g0, t0, headings):
+    # a path of 0.03 steps, away from the corners where both representatives tie
+    steps = 0.03 * np.stack([np.cos(headings), np.sin(headings)], axis=-1)
+    path = np.concatenate([[[g0, t0]], [g0, t0] + np.cumsum(steps, axis=0)])
+    assume(float(np.min(pc.corner_dist(path[:, 0], path[:, 1]))) > 0.1)
+    canon = cv.to_canonical(path)
+    lift, ref = cv.unwrap_to_lift(canon), _unwrap_by_loop(canon)
+    assert np.max(np.abs(lift - ref)) <= 1e-12
+
+    def sign(out):
+        # +1 where a sample keeps its canonical point (up to the lattice), -1 where flipped
+        d = out - canon
+        return np.where(np.max(np.abs(d - np.round(d / (2 * math.pi)) * 2 * math.pi), axis=1)
+                        < 1e-9, 1, -1)
+
+    assert np.array_equal(sign(lift), sign(ref))
+
+
+@pytest.mark.parametrize("corner, step", [((math.pi, math.pi), (0.05, 0.03)),
+                                           ((0.0, 0.0), (0.04, -0.05)),
+                                           ((math.pi, 0.0), (-0.03, 0.05)),
+                                           ((0.0, math.pi), (0.05, 0.05))])
+def test_unwrap_ties_at_corners_equal_loop(corner, step):
+    # a sample exactly on a corner is equally near both representatives; the
+    # loop keeps the unflipped one, whichever sign its predecessor had
+    path = np.array(corner) + np.arange(-6, 7)[:, None] * np.array(step)
+    for p in (path, np.concatenate([[[1.0, 1.0]], path])):
+        canon = cv.to_canonical(p)
+        assert np.max(np.abs(cv.unwrap_to_lift(canon) - _unwrap_by_loop(canon))) <= 1e-12
 
 
 def test_hausdorff_on_shifted_clouds():

@@ -296,3 +296,24 @@ def test_fiber_json():
     sol = md.solve_fiber(1.0, 1.0, 0.05)
     obj = sol.to_json()
     assert obj["gamma"] == 1.0 and len(obj["h"]) == 2
+
+
+def _sample_grid_by_scan(delta, n):
+    """The linear inset scan that sample_grid's bisection replaces."""
+    a = 1e-3
+    while a < math.pi / 2:
+        gam = np.linspace(a, math.pi - a, n)
+        the = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        G, T = (x.ravel() for x in np.meshgrid(gam, the, indexing="ij"))
+        if float(np.min(pc.corner_dist_chordal(G, T))) >= delta:
+            return G, T
+        a += 1e-3
+    raise ValueError
+
+
+@settings(max_examples=25)
+@given(st.floats(0.005, 0.95), st.integers(1, 40))
+def test_sample_grid_bisection_equals_scan(delta, n):
+    G, T = md.sample_grid(delta, n)
+    G0, T0 = _sample_grid_by_scan(delta, n)
+    assert np.array_equal(G, G0) and np.array_equal(T, T0)
