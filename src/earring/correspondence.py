@@ -79,11 +79,10 @@ class _System:
     def __init__(self, projector, s):
         self.proj = projector
         self.s = s
-        self.u = self.k = None   # arclength and segment of the last evaluation's foot
 
     def res_and_jac(self, g, t, h):
         """Residual (3,) and Jacobian (3, 4) in (dgamma, dtheta, du, dv)."""
-        sd, self.u, normal, self.k = self.proj.project(np.array([g, t]), near=self.k)
+        sd, _, normal = self.proj.project(np.array([g, t]))
         e1, e2 = md._tangent_frame(h)
         eps = md.CS_STEP
 
@@ -166,27 +165,38 @@ def _ydist(y1, y2):
     return np.hypot(dg, dt) + np.sqrt(np.sum(dh * dh, axis=-1))
 
 
-def trace_component(system, y0, heading=None, stop=None):
+def trace_component(system, y0, skip=None):
     """Pseudo-arclength trace of one closed solution component through y0.
 
     Steps whose tangent rotates by more than 60 degrees are rejected and the
     step is halved: the solution curve folds over the base near the corners,
-    and jumping across a fold would flip the traversal direction.  heading,
-    a 5-vector (gamma, theta, h), orients the first tangent.  With stop, the
-    trace ends at the first accepted sample y for which stop(y) holds and is
-    an open path.  Returns the samples as arrays (G, T, H); a closed trace
-    repeats its first sample at the end.
+    and jumping across a fold would flip the traversal direction.  Before
+    each step, skip(y, tangent5, start) may return samples (G, T, H) that lie
+    ahead of y on the component, taken as they are, and whether they end at
+    the start (the trace is then closed).  Returns arrays (G, T, H) of the
+    samples, closed by repeating the first, and a mask of those from skip;
+    the first counts as one when the trace leaves it by skip.
     """
-    system.k = None
     y, res, jac, frame = _corrector(system, y0)
     if np.max(np.abs(res)) > CORRECTOR_ACCEPT:
         raise ContinuationStall(f"seed corrector residual {np.max(np.abs(res)):.2e}")
-    samples = [y]
-    tan = _tangent5(jac, frame, prev5=heading)
+    samples, swept = [y], [False]
+    tan = _tangent5(jac, frame)
     tan0 = tan.copy()
     ds = STEP_INIT
     far = 0.0
     for _step in range(MAX_STEPS):
+        G, T, H, closed = skip(y, tan, samples[0]) if skip else ((), (), (), False)
+        swept[0] |= _step == 0 and (closed or len(G) > 0)
+        samples += zip(G, T, H)
+        swept += [True] * len(G)
+        if closed:
+            break
+        if len(G):
+            y, (g, t, h) = samples[-1], samples[-2]
+            _, jac, frame = system.res_and_jac(*y)
+            tan = _tangent5(jac, frame, prev5=np.concatenate([[y[0] - g, y[1] - t], y[2] - h]))
+            far = max(far, float(np.max(_ydist(samples[0], (G, T, H)))))
         while True:
             y_pred = _apply(y, ds * _to4(tan, frame), frame)
             y_new, res_new, jac_new, frame_new = _corrector(system, y_pred, tangent5=tan)
@@ -201,18 +211,18 @@ def trace_component(system, y0, heading=None, stop=None):
                     f"({y[0]:.3f}, {y[1]:.3f})")
         y, tan, frame = y_new, tan_new, frame_new
         samples.append(y)
-        if stop is not None and stop(y):
-            break
+        swept.append(False)
         d0 = _ydist(y, samples[0])
         far = max(far, d0)
         if far > 6 * STEP_MAX and d0 < max(CLOSURE_TOL, 1.2 * ds) and np.dot(tan, tan0) > 0.9:
-            samples.append(samples[0])
             break
         ds = min(ds * 1.3, STEP_MAX)
     else:
         raise ContinuationStall(f"no closure after {MAX_STEPS} steps")
+    samples.append(samples[0])
+    swept.append(swept[0])
     return (np.array([y[0] for y in samples]), np.array([y[1] for y in samples]),
-            np.stack([y[2] for y in samples]))
+            np.stack([y[2] for y in samples]), np.array(swept))
 
 
 def _push_component(G, T, H, swept, s):
@@ -290,93 +300,65 @@ def _seed_rows(g, t, s):
     return np.repeat(far, 2), np.tile([1, -1], len(far))
 
 
-def _sweep(lift, s):
+def _sweep(lift, s, mirrored):
     """Both fiber branches over the rows of a closed constraint lift.
 
     Rows are unrolled over the lift's period: row r sits at lift[r % m] +
     (r // m) (lift[m] - lift[0]).  The rows far from the corners (_seed_rows)
-    are solved on both branches by one batched _fiber_at call.  A row is
-    regular when both converged, lie at least SWEEP_SEP_MIN apart, and the
-    step to the next row, |d(gamma, theta)| combined with the larger |dh| of
-    the two branches, is at most STEP_MAX, the longest continuation step.
+    are solved on both branches by one batched _fiber_at call.  On a doubled
+    arc (mirrored) row m - r is the involution image of row r on the same
+    branch, so only rows up to m / 2 are solved.  A row is regular when both
+    branches converged, lie at least SWEEP_SEP_MIN apart, and the step to
+    the next row, |d(gamma, theta)| combined with the larger |dh| of the two
+    branches, is at most STEP_MAX, the longest continuation step.
     Returns H (m, 2, 3), ok (m, 2) and the regular rows (m,).
     """
     m = len(lift) - 1
-    rows, branch = _seed_rows(lift[:-1, 0], lift[:-1, 1], s)
+    half = m // 2 + 1 if mirrored else m
+    rows, branch = _seed_rows(lift[:half, 0], lift[:half, 1], s)
     h, converged = _fiber_at(lift[rows, 0], lift[rows, 1], s, branch)
     H = np.full((m, 2, 3), np.nan)
     H[rows[::2]] = h.reshape(-1, 2, 3)
     ok = np.zeros((m, 2), dtype=bool)
     ok[rows[::2]] = converged.reshape(-1, 2)
+    H[half:], ok[half:] = H[m - half:0:-1] * md._IOTA_H, ok[m - half:0:-1]
     dh = np.max(np.linalg.norm(np.roll(H, -1, axis=0) - H, axis=-1), axis=-1)
     step = np.hypot(np.linalg.norm(np.diff(lift, axis=0), axis=-1), dh)
     sep = np.linalg.norm(H[:, 0] - H[:, 1], axis=-1)
     return H, ok, ok.all(axis=1) & (sep >= SWEEP_SEP_MIN) & (step <= STEP_MAX)
 
 
-def _swept_rows(lift, H, r, b):
-    """(gamma, theta, h, swept) of the unrolled rows r (an array) on branch b."""
+def _rows(lift, H, r, b):
+    """(gamma, theta, h) of the unrolled rows r (an array) on branch b."""
     m = len(lift) - 1
     gt = lift[r % m] + (r // m)[:, None] * (lift[-1] - lift[0])
-    return gt[:, 0], gt[:, 1], H[r % m, b], np.ones(len(r), dtype=bool)
+    return gt[:, 0], gt[:, 1], H[r % m, b]
 
 
-def _walk(system, lift, H, reg, r0, b0):
-    """The component through the regular row r0 on branch b0, from a _sweep.
+def _skip(system, lift, H, reg, y, tan, start):
+    """The swept rows ahead of y on its sheet, for trace_component's skip.
 
-    Its run of regular rows is taken forward from r0; the fold window at the
-    end is bridged by trace_component up to the first sample over regular
-    rows, on one of their branches (reentry), whose run is taken on in the
-    direction of arrival, and so on until the walk is back at r0 on branch
-    b0.  Returns closed arrays (G, T, H, swept); raises ContinuationStall
-    when the walk comes back to a row it took before anywhere else.
+    y lies over the unrolled rows i, i + 1 around its foot on the projected
+    lift.  When both are regular and the h of y is within SWEEP_SEP_MIN / 2
+    of their branch b, the rows of b ahead of y in the direction of tan are
+    taken up to the first one that is not regular, or up to the start's row
+    (to within CLOSURE_TOL).  Returns (G, T, H, closed), closed when the
+    rows end at the start.
     """
-    m = len(lift) - 1
-    base = (len(system.proj.len) - m) // 2    # three periods are projected, or one
-    q_last = left = hit = None
-
-    def reentry(y):
-        nonlocal q_last, left, hit
-        # the corrector's last evaluation, and with it system.u, was at y
-        q = float(np.interp(system.u, system.proj.cum, np.arange(len(system.proj.cum)))) - base
-        i = math.floor(q)
-        lo, hi = i % m, (i + 1) % m
-        prev, q_last = q_last, q
-        if not (reg[lo] and reg[hi]):
-            left = True
-            return False
-        dist = np.linalg.norm(y[2] - (1 - (q - i)) * H[lo] - (q - i) * H[hi], axis=-1)
-        hit = (q, int(np.argmin(dist)), 1 if q > prev else -1)
-        return left and np.min(dist) < SWEEP_SEP_MIN / 2
-
-    seen = np.zeros((m, 2), dtype=bool)
-    parts, r, b, d = [], r0, b0, 1
-    while True:
-        e = r
-        while reg[(e + d) % m] and not (b == b0 and (e + d - r0) % m == 0):
-            e += d
-        rows = np.arange(r, e + d, d)
-        if seen[rows % m, b].any():
-            raise ContinuationStall("sheet walk came back to a swept row")
-        seen[rows % m, b] = True
-        closed = reg[(e + d) % m]           # stopped at r0, not at a fold window
-        parts.append(_swept_rows(lift, H, np.append(rows, e + d) if closed else rows, b))
-        if closed:
-            break
-        g, t, _, _ = _swept_rows(lift, H, np.array([e - d, e + d]), b)
-        q_last, left = float(e), False
-        bridge = trace_component(system, tuple(a[-1] for a in parts[-1][:3]),
-                                 (g[1] - g[0], t[1] - t[0], 0.0, 0.0, 0.0), reentry)
-        parts.append((*(a[1:] for a in bridge), np.zeros(len(bridge[0]) - 1, dtype=bool)))
-        q, b, d = hit
-        r = math.ceil(q) if d > 0 else math.floor(q)
-        j = (r - r0) % m
-        if b == b0 and d > 0 and seen[r % m, b] and j < len(parts[0][0]):
-            # the bridge came back past r0: start the component at r
-            parts[0] = tuple(a[j:] for a in parts[0])
-            parts.append(_swept_rows(lift, H, np.array([r]), b))
-            break
-    return tuple(np.concatenate(a) for a in zip(*parts))
+    m, cum = len(lift) - 1, system.proj.cum
+    q = float(np.interp(system.proj.project(np.array([y[0], y[1]]))[1], cum, np.arange(len(cum))))
+    q -= (len(cum) - 1 - m) // 2                   # three periods are projected, or one
+    i = math.floor(q)
+    dist = np.linalg.norm(y[2] - (1 - (q - i)) * H[i % m] - (q - i) * H[(i + 1) % m], axis=-1)
+    b = int(np.argmin(dist))
+    if not (reg[i % m] and reg[(i + 1) % m] and dist[b] < SWEEP_SEP_MIN / 2):
+        return (), (), (), False
+    d = 1 if np.dot(tan[:2], lift[i % m + 1] - lift[i % m]) > 0 else -1
+    # rows within rounding of y count as passed
+    ahead = (math.floor(q + 1e-9) + 1 if d > 0 else math.ceil(q - 1e-9) - 1) + d * np.arange(m)
+    G, T, Hb = _rows(lift, H, ahead[:np.append(np.flatnonzero(~reg[ahead % m]), m)[0]], b)
+    at = np.append(np.flatnonzero(_ydist(start, (G, T, Hb)) < CLOSURE_TOL), len(G))[0]
+    return G[:at], T[:at], Hb[:at], at < len(G)
 
 
 def compose_curve(curve, s):
@@ -389,11 +371,12 @@ def compose_curve(curve, s):
     The curve is resampled at step min(0.02, length / 64) and both fiber
     branches are swept over its constraint lift (_sweep).  Components are
     sought from N_SEEDS rows at arclength fractions 0.08 ... 0.92, on both
-    branches and regular rows first, skipping seeds within 3 STEP_MAX of a
-    found component or its involution image.  From a regular seed a component is walked (_walk) and
-    oriented as continuation from the seed would run; from any other seed,
-    or when the walk fails, it is traced by continuation all the way round.
-    Each component's provenance marks its swept samples in "swept".
+    branches, skipping seeds within 3 STEP_MAX of a found component or its
+    involution image.  Each is traced by continuation (trace_component),
+    which takes the swept rows of each regular stretch it reaches as they
+    are (_skip), so that continuation steps are left only in the fold
+    windows near the corners.  Each component's provenance marks its swept
+    samples in "swept".
     """
     if not (0 < s < math.pi / 4):
         raise ValueError("s must lie in (0, pi/4)")
@@ -406,33 +389,25 @@ def compose_curve(curve, s):
         tiled = lift
     projector = cv.PolylineProjector(tiled, closed=True)
     system = _System(projector, s)
-    H, ok, reg = _sweep(lift, s)
-
     seg = np.linalg.norm(np.diff(lift, axis=0), axis=-1)
     cumlen = np.concatenate([[0.0], np.cumsum(seg)])
-    seeds = np.searchsorted(cumlen, np.linspace(0.08, 0.92, N_SEEDS) * cumlen[-1]) % len(H)
+    seeds = np.searchsorted(cumlen, np.linspace(0.08, 0.92, N_SEEDS) * cumlen[-1]) % len(seg)
+    H, ok, reg = _sweep(lift, s, curve.kind == "arc")
 
-    starts = [(r, b) for r, b in zip(np.repeat(seeds, 2), np.tile([0, 1], N_SEEDS)) if ok[r, b]]
+    def skip(y, tan, start):
+        return _skip(system, lift, H, reg, y, tan, start)
+
     found, components, provenance = [], [], []
-    for r, b in sorted(starts, key=lambda rb: not reg[rb[0]]):
-        y = tuple(a[0] for a in _swept_rows(lift, H, np.array([r]), b)[:3])
+    for r, b in zip(np.repeat(seeds, 2), np.tile([0, 1], N_SEEDS)):
+        y = tuple(a[0] for a in _rows(lift, H, np.array([r]), b))
         iy = md.iota_hat(*y)
-        if any(min(np.min(_ydist(y, f)), np.min(_ydist(iy, f))) < 3 * STEP_MAX
-               for f in found):
+        if not ok[r, b] or any(min(np.min(_ydist(y, f)), np.min(_ydist(iy, f))) < 3 * STEP_MAX
+                               for f in found):
             continue
         try:
-            if not reg[r]:
-                raise ContinuationStall("seed row is not swept")
-            *ys, swept = _walk(system, lift, H, reg, r, b)
-            _, jac, frame = system.res_and_jac(*y)    # orient along the null vector at y
-            if np.dot(_tangent5(jac, frame)[:2], [ys[0][1] - ys[0][0], ys[1][1] - ys[1][0]]) < 0:
-                ys, swept = [a[::-1] for a in ys], swept[::-1]
-        except (ContinuationStall, NonTransverse, FoldUnresolved):
-            try:
-                ys = trace_component(system, y)
-            except (ContinuationStall, NonTransverse):
-                continue
-            swept = np.zeros(len(ys[0]), dtype=bool)
+            *ys, swept = trace_component(system, y, skip)
+        except (ContinuationStall, NonTransverse):
+            continue
         comp, prov = _push_component(*ys, swept, s)
         found.append(tuple(ys))
         components.append(comp)

@@ -18,7 +18,6 @@ from . import pillowcase as pc
 from .pillowcase import TWO_PI
 
 STEP_MAX = 0.05
-PROJECT_WINDOW = 8   # segments searched on either side of a previous foot
 
 
 class CurveError(ValueError):
@@ -192,39 +191,23 @@ class PolylineProjector:
         self.dir = self.seg / self.len[:, None]
         self.cum = np.concatenate([[0.0], np.cumsum(self.len)])
 
-    def project(self, x, near=None):
-        """(signed distance, arclength u, smoothed unit normal, segment k) at x.
-
-        With near, a segment index, only the segments within PROJECT_WINDOW of
-        it are searched, and all of them when the nearest lies at the window's
-        edge.  A continuation step moves a few segments at most, so the window
-        holds the foot; where an immersed curve passes close to itself it
-        also keeps the foot on the strand being followed.
-        """
-        x = np.asarray(x, dtype=float)
-        nseg, k = len(self.len), None
-        if near is not None and nseg > 2 * PROJECT_WINDOW + 1:
-            idx = np.arange(near - PROJECT_WINDOW, near + PROJECT_WINDOW + 1)
-            idx = idx % nseg if self.closed else idx[(idx >= 0) & (idx < nseg)]
-            j = int(self._nearest(x, idx))
-            if 0 < j < len(idx) - 1 or (not self.closed and idx[j] in (0, nseg - 1)):
-                k = int(idx[j])
-        if k is None:
-            k = int(self._nearest(x, slice(None)))
-        sd, u, normal = self._at(x[None], np.array([k]))
-        return float(sd[0]), float(u[0]), normal[0], k
+    def project(self, x):
+        """(signed distance, arclength u, smoothed unit normal) at x (real 2-vector)."""
+        x = np.asarray(x, dtype=float)[None]
+        sd, u, normal = self._at(x, self._nearest(x))
+        return float(sd[0]), float(u[0]), normal[0]
 
     def signed_distances(self, xs):
         """`project`'s signed distance at each row of xs (b, 2), in row blocks."""
         step = max(1, (1 << 16) // len(self.len))
-        return np.concatenate([self._at(x, self._nearest(x, slice(None)))[0]
+        return np.concatenate([self._at(x, self._nearest(x))[0]
                                for x in np.split(xs, np.arange(step, len(xs), step))])
 
-    def _nearest(self, x, idx):
-        """Which of the segments idx lies nearest to each row of x (..., 2)."""
-        p, d = self.pts[:-1][idx], self.dir[idx]
-        rx, ry = x[..., :1] - p[:, 0], x[..., 1:] - p[:, 1]
-        t = np.minimum(np.maximum(rx * d[:, 0] + ry * d[:, 1], 0.0), self.len[idx])
+    def _nearest(self, x):
+        """The segment nearest to each row of x (b, 2)."""
+        p, d = self.pts[:-1], self.dir
+        rx, ry = x[:, :1] - p[:, 0], x[:, 1:] - p[:, 1]
+        t = np.minimum(np.maximum(rx * d[:, 0] + ry * d[:, 1], 0.0), self.len)
         return np.argmin((rx - t * d[:, 0]) ** 2 + (ry - t * d[:, 1]) ** 2, axis=-1)
 
     def _at(self, x, k):

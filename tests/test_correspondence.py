@@ -253,10 +253,11 @@ def _continuation_components(loop, s):
     h, ok = co._fiber_at(np.array([g, g]), np.array([t, t]), s, np.array([1, -1]))
     comps = []
     for hk in h[ok]:
-        ys = co.trace_component(system, (g, t, hk))
-        if all(np.min(co._ydist((g, t, hk), f)) >= 3 * co.STEP_MAX for f in comps):
-            comps.append(ys)
-    return [co._push_component(*ys, np.zeros(len(ys[0]), dtype=bool), s)[0] for ys in comps]
+        *ys, swept = co.trace_component(system, (g, t, hk))
+        assert not swept.any()
+        if all(np.min(co._ydist((g, t, hk), f[:3])) >= 3 * co.STEP_MAX for f in comps):
+            comps.append((*ys, swept))
+    return [co._push_component(*ys, s)[0] for ys in comps]
 
 
 def _canon(curve):
@@ -304,3 +305,38 @@ def test_unswept_seeds_fall_back_to_continuation(monkeypatch):
     assert out.component_count() == 1
     assert not np.any(out.provenance[0]["swept"])
     assert tp.classify_homology_fig8(out.components, A0, 0.19)["is_homology_fig8"]
+
+
+def _circular_arc(end, height, n=129):
+    """Arc of a circle from the corner (0, 0) to the corner end, bulging by height > 0."""
+    a, b = np.zeros(2), np.asarray(end, dtype=float)
+    half = np.linalg.norm(b - a) / 2
+    radius = (half * half + height * height) / (2 * height)
+    normal = np.array([-(b - a)[1], (b - a)[0]]) / (2 * half)
+    centre = (a + b) / 2 - (radius - height) * normal
+    start, stop = (math.atan2(*(p - centre)[::-1]) for p in (a, b))
+    ang = np.linspace(start, start + math.remainder(stop - start, 2 * PI), n)
+    pts = centre + radius * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    pts[0], pts[-1] = a, b
+    return cv.Curve("arc", pts)
+
+
+@pytest.mark.parametrize("end, height", [((PI, 0), 0.9), ((PI, PI), 0.6), ((0, PI), 1.2)])
+def test_curved_arc_sweep_matches_continuation(monkeypatch, end, height):
+    # on a curved lift, swept components keep the orientation and the
+    # figure-eight counts of continuation from the same seed
+    arc = _circular_arc(end, height)
+    swept_out = co.compose_curve(arc, 0.19)
+    monkeypatch.setattr(co, "SWEEP_SEP_MIN", 10.0)       # no row is regular
+    traced = co.compose_curve(arc, 0.19)
+    assert all(np.mean(p["swept"]) >= 0.5 for p in swept_out.provenance)
+    assert swept_out.component_count() == traced.component_count()
+    assert (tp.classify_homology_fig8(swept_out.components, arc, 0.19)
+            == tp.classify_homology_fig8(traced.components, arc, 0.19))
+    for w, t in zip(swept_out.provenance, traced.provenance):
+        G, T, H = (t[k] for k in ("gamma", "theta", "h"))
+        dist = co._ydist((w["gamma"][0], w["theta"][0], w["h"][0]), (G[:-1], T[:-1], H[:-1]))
+        k = int(np.argmin(dist))
+        assert dist[k] < 3 * co.STEP_MAX
+        assert np.dot([w["gamma"][1] - w["gamma"][0], w["theta"][1] - w["theta"][0]],
+                      [G[k + 1] - G[k], T[k + 1] - T[k]]) > 0

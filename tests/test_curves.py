@@ -138,9 +138,9 @@ def test_hausdorff_on_shifted_clouds():
 def test_projector_signed_distance():
     line = np.stack([np.linspace(0, 3, 40), np.zeros(40)], axis=-1)
     proj = cv.PolylineProjector(line, closed=False)
-    sd, _, normal, _ = proj.project(np.array([1.0, 0.2]))
+    sd, _, normal = proj.project(np.array([1.0, 0.2]))
     assert abs(abs(sd) - 0.2) < 1e-12
-    sd2, _, _, _ = proj.project(np.array([1.0, -0.2]))
+    sd2, _, _ = proj.project(np.array([1.0, -0.2]))
     assert abs(sd + sd2) < 1e-12  # opposite sides, opposite signs
 
 
