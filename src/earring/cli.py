@@ -105,15 +105,8 @@ class SvgPlot:
         domain boundary.
         """
         canon = cv.to_canonical(curve.resampled(self.step).samples)
-        runs, cur = [], [canon[0]]
-        for prev, nxt in zip(canon[:-1], canon[1:]):
-            if np.max(np.abs(nxt - prev)) > 0.5:
-                runs.append(cur)
-                cur = [nxt]
-            else:
-                cur.append(nxt)
-        runs.append(cur)
-        for run in runs:
+        jumps = np.flatnonzero(np.max(np.abs(np.diff(canon, axis=0)), axis=1) > 0.5)
+        for run in np.split(canon, jumps + 1):
             if len(run) > 1:
                 self.polyline(run, color, width)
 
@@ -173,8 +166,10 @@ def cmd_sample_moduli(cfg, args):
     path = args.out or (cfg.out + ".csv")
     with open(path, "w") as f:
         f.write("gamma,theta,hx,hy,hz,s,F2,F3\n")
-        for row in rows:
-            f.write(",".join("%.17g" % v for v in row) + "\n")
+        fmt = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        # in blocks: text and lists for the whole grid at once add 4.6 MB to the peak RSS
+        for i in range(0, len(rows), 256):
+            f.write("".join(fmt % tuple(row) for row in rows[i:i + 256].tolist()))
     # always 0: a failed grid solve exits 2 above; perfbench's gate reads it
     summary = {"histogram": hist, "min_corner_margin": margin,
                "failures": 0, "rows": len(rows)}
@@ -332,15 +327,9 @@ def cmd_algebra(cfg, args):
             print(json.dumps({"maurer_cartan": ok,
                               "offending_entry": bad and list(bad)}))
             return EXIT_OK if ok else EXIT_CLASSIFY
-        if args.subcommand == "ii":
-            cx = _read_complex(args.args[0])
-            out = al.functor_II(cx)
-            sys.stdout.write(out.to_text())
-            return EXIT_OK
-        if args.subcommand == "reduce":
-            cx = _read_complex(args.args[0])
-            out = al.reduce(cx)
-            sys.stdout.write(out.to_text())
+        if args.subcommand in ("ii", "reduce"):
+            op = al.functor_II if args.subcommand == "ii" else al.reduce
+            sys.stdout.write(op(_read_complex(args.args[0])).to_text())
             return EXIT_OK
         if args.subcommand == "to-curve":
             cx = _read_complex(args.args[0])

@@ -1,21 +1,23 @@
 """Action of the moduli correspondence on immersed curves in the pillowcase.
 
 compose_curve finds the preimage of a curve under the outer restriction
-inside the gauge-fixed moduli space, the solution set of
-
-    { H1 = 0, H2 = 0, signed-distance-to-curve = 0 }
-
-in the four unknowns (gamma, theta, two sphere coordinates of h), and pushes
-it through the inner restriction.  Away from the corners that set is two
-sheets over the curve, swept by one batched fiber solve; pseudo-arclength
-continuation only bridges the folds near the corners.  model_map_vdelta
-applies the explicit local Dehn-twist model instead: doubling away from the
-corner disks and one full twist per corner disk.
+inside the gauge-fixed moduli space: the solution set of { H1 = 0, H2 = 0 }
+over the curve, in the unknowns u, arclength on the curve's constraint lift
+(so that the base point (gamma, theta) = lift(u) lies on the curve), and h,
+stepped in two sphere coordinates.  It is pushed through the inner
+restriction.  Away from the corners the set is two sheets over the curve,
+swept by one batched fiber solve; pseudo-arclength continuation, one point
+at a time in Python numbers, only bridges the folds near the corners.
+model_map_vdelta applies the explicit local Dehn-twist model instead:
+doubling away from the corner disks and one full twist per corner disk.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +31,7 @@ from .pillowcase import TWO_PI
 
 DEFAULT_TWIST_SIGNS = (1, 1, 1, 1)
 
-# continuation (arclength steps in the four unknowns, max-norm residuals)
+# continuation (arclength steps in (u, h), max-norm residuals)
 STEP_MIN = 1e-4
 STEP_MAX = 5e-2
 STEP_INIT = 1e-2
@@ -73,81 +75,117 @@ class ComposedCurve:
 # Continuation engine
 
 
+class _Lift:
+    """A closed constraint lift pts parameterized by arclength u, unrolled.
+
+    lift(u + P) = lift(u) + disp for the period P (the lift's length) and
+    disp = pts[-1] - pts[0]; row i of pts sits at u = cum[i] and at row
+    position q = i, and row i + k m (m rows a period) at u + k P, q = i + k m.
+    """
+
+    def __init__(self, pts):
+        d = np.diff(pts, axis=0)
+        seg = np.linalg.norm(d, axis=-1)
+        self.m, self.disp = len(seg), (pts[-1] - pts[0]).tolist()
+        self.cum = np.concatenate([[0.0], np.cumsum(seg)])
+        self.period, self._cum = float(self.cum[-1]), self.cum.tolist()
+        self._segs = [(x, y, dx / n, dy / n, n) for (x, y), (dx, dy), n
+                      in zip(pts.tolist(), d.tolist(), seg.tolist())]
+
+    def at(self, u):
+        """(gamma, theta, dgamma/du, dtheta/du, row position q) at u in Python floats."""
+        n = math.floor(u / self.period)
+        v = u - n * self.period
+        k = min(max(bisect.bisect_right(self._cum, v) - 1, 0), self.m - 1)
+        x, y, dx, dy, length = self._segs[k]
+        w, (a, b) = v - self._cum[k], self.disp
+        return x + w * dx + n * a, y + w * dy + n * b, dx, dy, k + w / length + n * self.m
+
+    def dist(self, y, U, H):
+        """Distance in (u modulo the period, h) from y = (u, h) to samples (U, H)."""
+        du = np.remainder(np.asarray(U) - y[0] + self.period / 2, self.period) - self.period / 2
+        dh = np.asarray(H) - y[1]
+        return np.abs(du) + np.sqrt(np.sum(dh * dh, axis=-1))
+
+
+def _dot(a, b):
+    return sum(map(operator.mul, a, b))
+
+
 class _System:
-    """Residuals and complex-step Jacobian of {H1, H2, sd} on T x S^2."""
+    """Residuals and complex-step Jacobian of {H1, H2} at one point (u, h).
 
-    def __init__(self, projector, s):
-        self.proj = projector
-        self.s = s
+    u is arclength on the constraint lift (a _Lift) and h a unit 3-tuple;
+    the evaluation runs in Python numbers.
+    """
 
-    def res_and_jac(self, g, t, h):
-        """Residual (3,) and Jacobian (3, 4) in (dgamma, dtheta, du, dv)."""
-        sd, _, normal = self.proj.project(np.array([g, t]))
+    def __init__(self, lift, s):
+        self.lift, self.s = lift, s
+
+    def res_and_jac(self, u, h):
+        """Residual (H1, H2) and Jacobian rows in (du, de1, de2), with the frame (e1, e2)."""
+        g, t, dg, dt, _ = self.lift.at(u)
         e1, e2 = md._tangent_frame(h)
-        eps = md.CS_STEP
-
-        # one batched complex evaluation: value plus the four step columns
-        gg = np.array([g, g + 1j * eps, g, g, g])
-        tt = np.array([t, t, t + 1j * eps, t, t])
-        hh = np.stack([h, h, h, h + 1j * eps * e1, h + 1j * eps * e2])
-        hh = hh / np.sqrt(np.sum(hh * hh, axis=-1))[:, None]
-        h1, h2 = md.eval_H(gg, tt, hh, self.s)
-        res = np.array([h1[0].real, h2[0].real, sd])
-        jac = np.zeros((3, 4))
-        jac[0] = h1[1:].imag / eps
-        jac[1] = h2[1:].imag / eps
-        jac[2, :2] = normal
-        return res, jac, (e1, e2)
+        eps, s = md.CS_STEP, self.s
+        ce, (x, y, z), hu = 1j * eps, h, qt.normalize(h)
+        h1, h2 = md.eval_H(g, t, hu, s)
+        a1, a2 = md.eval_H(g + ce * dg, t + ce * dt, hu, s)
+        b1, b2 = md.eval_H(g, t, qt.normalize((x + ce * e1[0], y + ce * e1[1], z + ce * e1[2])), s)
+        c1, c2 = md.eval_H(g, t, qt.normalize((x + ce * e2[0], y + ce * e2[1], z + ce * e2[2])), s)
+        jac = ((a1.imag / eps, b1.imag / eps, c1.imag / eps),
+               (a2.imag / eps, b2.imag / eps, c2.imag / eps))
+        return (h1, h2), jac, (e1, e2)
 
 
-def _to5(t4, frame):
-    """Tangent 4-vector in a local sphere frame -> frame-independent 5-vector."""
-    e1, e2 = frame
-    return np.concatenate([t4[:2], t4[2] * e1 + t4[3] * e2])
+def _to_local(t4, frame):
+    """Frame-free tangent (du, dh) -> unit (du, de1, de2) in a local sphere frame."""
+    t = (t4[0], *(_dot(t4[1:], e) for e in frame))
+    n = math.sqrt(_dot(t, t))
+    return tuple(x / n for x in t) if n > 0 else t
 
 
-def _to4(t5, frame):
-    e1, e2 = frame
-    t4 = np.array([t5[0], t5[1], np.dot(t5[2:], e1), np.dot(t5[2:], e2)])
-    n = np.linalg.norm(t4)
-    return t4 / n if n > 0 else t4
+def _tangent(jac, frame, prev=None):
+    """Unit tangent (du, dhx, dhy, dhz) of the solution curve.
 
-
-def _tangent5(jac, frame, prev5=None):
-    _, sv, vt = np.linalg.svd(jac)
-    if sv[-1] < 1e-10:
-        raise NonTransverse(f"Jacobian rank drop (smallest singular value {sv[-1]:.2e})")
-    t5 = _to5(vt[-1], frame)
-    if prev5 is not None and np.dot(t5, prev5) < 0:
-        t5 = -t5
-    return t5
+    The null vector of the 2 x 3 Jacobian is the cross product of its rows.
+    Its sign follows prev, or increasing u without prev.  NonTransverse is
+    raised when the Jacobian's smallest singular value s2 drops below 1e-10
+    (s1^2 + s2^2 = |a|^2 + |b|^2 and s1 s2 = |a x b| for rows a, b).
+    """
+    a, b = jac
+    c = md._cross(a, b)
+    sq, cc = _dot(a, a) + _dot(b, b), _dot(c, c)
+    smin = math.sqrt(2 * cc / (sq + math.sqrt(max(sq * sq - 4 * cc, 0.0)))) if cc > 0 else 0.0
+    if smin < 1e-10:
+        raise NonTransverse(f"Jacobian rank drop (smallest singular value {smin:.2e})")
+    t4 = (c[0], *(c[1] * x + c[2] * y for x, y in zip(*frame)))
+    n = math.copysign(math.sqrt(cc), _dot(t4, prev) if prev is not None else t4[0])
+    return tuple(x / n for x in t4)
 
 
 def _apply(y, delta, frame):
-    g, t, h = y
-    e1, e2 = frame
-    hq = h + delta[2] * e1 + delta[3] * e2
-    hq = hq / np.linalg.norm(hq)
-    return (g + delta[0], t + delta[1], hq)
+    (u, h), (e1, e2) = y, frame
+    return u + delta[0], qt.normalize(tuple(x + delta[1] * a + delta[2] * b
+                                            for x, a, b in zip(h, e1, e2)))
 
 
-def _corrector(system, y, tangent5=None, max_iter=12):
-    """Newton corrector onto the solution set, pseudo-arclength with tangent5.
+def _corrector(system, y, tangent=None, max_iter=12):
+    """Newton corrector onto the solution set, pseudo-arclength with tangent.
 
-    Returns (y, res, jac, frame), the last three from the final evaluation,
-    which is at the returned y.
+    Each step solves the 3 x 3 system of the two Jacobian rows and a third
+    row: tangent in the current frame, or without tangent the Jacobian's null
+    vector (the least-norm step).  Returns (y, res, jac, frame), the last
+    three from the final evaluation, which is at the returned y.
     """
     for _ in range(max_iter):
         res, jac, frame = system.res_and_jac(*y)
-        if np.max(np.abs(res)) < 1e-13:
+        if max(abs(res[0]), abs(res[1])) < 1e-13:
             return y, res, jac, frame
-        if tangent5 is None:
-            delta, *_ = np.linalg.lstsq(jac, -res, rcond=None)
-        else:
-            aug = np.vstack([jac, _to4(tangent5, frame)])
-            rhs = np.concatenate([-res, [0.0]])
-            delta = np.linalg.solve(aug, rhs)
-        y = _apply(y, delta, frame)
+        a, b = jac
+        c = md._cross(a, b) if tangent is None else _to_local(tangent, frame)
+        bc, ca = md._cross(b, c), md._cross(c, a)
+        det = _dot(a, bc)
+        y = _apply(y, tuple(-(res[0] * x + res[1] * z) / det for x, z in zip(bc, ca)), frame)
     return (y, *system.res_and_jac(*y))
 
 
@@ -166,63 +204,62 @@ def _ydist(y1, y2):
 
 
 def trace_component(system, y0, skip=None):
-    """Pseudo-arclength trace of one closed solution component through y0.
+    """Pseudo-arclength trace of one closed solution component through y0 = (u, h).
 
-    Steps whose tangent rotates by more than 60 degrees are rejected and the
-    step is halved: the solution curve folds over the base near the corners,
-    and jumping across a fold would flip the traversal direction.  Before
-    each step, skip(y, tangent5, start) may return samples (G, T, H) that lie
-    ahead of y on the component, taken as they are, and whether they end at
-    the start (the trace is then closed).  Returns arrays (G, T, H) of the
-    samples, closed by repeating the first, and a mask of those from skip;
-    the first counts as one when the trace leaves it by skip.
+    The trace starts toward increasing u.  Steps whose tangent rotates by more
+    than 60 degrees are rejected and the step is halved: the solution curve
+    folds over the base near the corners, and jumping across a fold would flip
+    the traversal direction.  Before each step skip(y, tangent, start) may
+    return samples (U, H) ahead of y on the component, taken as they are, and
+    whether they end at the start (which closes the trace).  Returns arrays
+    (G, T, H) of the samples, closed by repeating the first, and a mask of
+    those from skip (the first is one when the trace leaves it by skip).
     """
-    y, res, jac, frame = _corrector(system, y0)
-    if np.max(np.abs(res)) > CORRECTOR_ACCEPT:
-        raise ContinuationStall(f"seed corrector residual {np.max(np.abs(res)):.2e}")
+    lift = system.lift
+    y, res, jac, frame = _corrector(system, (float(y0[0]), tuple(map(float, y0[1]))))
+    if max(abs(res[0]), abs(res[1])) > CORRECTOR_ACCEPT:
+        raise ContinuationStall(f"seed corrector residual {max(map(abs, res)):.2e}")
     samples, swept = [y], [False]
-    tan = _tangent5(jac, frame)
-    tan0 = tan.copy()
-    ds = STEP_INIT
-    far = 0.0
+    tan = tan0 = _tangent(jac, frame)
+    ds, far = STEP_INIT, 0.0
     for _step in range(MAX_STEPS):
-        G, T, H, closed = skip(y, tan, samples[0]) if skip else ((), (), (), False)
-        swept[0] |= _step == 0 and (closed or len(G) > 0)
-        samples += zip(G, T, H)
-        swept += [True] * len(G)
+        U, H, closed = skip(y, tan, samples[0]) if skip else ((), (), False)
+        swept[0] |= _step == 0 and (closed or len(U) > 0)
+        samples += zip(U.tolist(), map(tuple, H.tolist())) if len(U) else ()
+        swept += [True] * len(U)
         if closed:
             break
-        if len(G):
-            y, (g, t, h) = samples[-1], samples[-2]
+        if len(U):
+            y, (u, h) = samples[-1], samples[-2]
             _, jac, frame = system.res_and_jac(*y)
-            tan = _tangent5(jac, frame, prev5=np.concatenate([[y[0] - g, y[1] - t], y[2] - h]))
-            far = max(far, float(np.max(_ydist(samples[0], (G, T, H)))))
+            tan = _tangent(jac, frame, prev=(y[0] - u, *(a - b for a, b in zip(y[1], h))))
+            far = max(far, float(np.max(lift.dist(samples[0], U, H))))
         while True:
-            y_pred = _apply(y, ds * _to4(tan, frame), frame)
-            y_new, res_new, jac_new, frame_new = _corrector(system, y_pred, tangent5=tan)
-            if np.max(np.abs(res_new)) <= CORRECTOR_ACCEPT:
-                tan_new = _tangent5(jac_new, frame_new, prev5=tan)
-                if np.dot(tan_new, tan) >= 0.5:
+            y_pred = _apply(y, tuple(ds * x for x in _to_local(tan, frame)), frame)
+            y_new, res_new, jac_new, frame_new = _corrector(system, y_pred, tangent=tan)
+            if max(abs(res_new[0]), abs(res_new[1])) <= CORRECTOR_ACCEPT:
+                tan_new = _tangent(jac_new, frame_new, prev=tan)
+                if _dot(tan_new, tan) >= 0.5:
                     break
             ds *= 0.5
             if ds < STEP_MIN:
+                g, t, *_ = lift.at(y[0])
                 raise FoldUnresolved(
-                    f"step underflow after {_step} steps near "
-                    f"({y[0]:.3f}, {y[1]:.3f})")
+                    f"step underflow after {_step} steps near ({g:.3f}, {t:.3f})")
         y, tan, frame = y_new, tan_new, frame_new
         samples.append(y)
         swept.append(False)
-        d0 = _ydist(y, samples[0])
+        d0 = float(lift.dist(y, samples[0][0], samples[0][1]))
         far = max(far, d0)
-        if far > 6 * STEP_MAX and d0 < max(CLOSURE_TOL, 1.2 * ds) and np.dot(tan, tan0) > 0.9:
+        if far > 6 * STEP_MAX and d0 < max(CLOSURE_TOL, 1.2 * ds) and _dot(tan, tan0) > 0.9:
             break
         ds = min(ds * 1.3, STEP_MAX)
     else:
         raise ContinuationStall(f"no closure after {MAX_STEPS} steps")
     samples.append(samples[0])
     swept.append(swept[0])
-    return (np.array([y[0] for y in samples]), np.array([y[1] for y in samples]),
-            np.stack([y[2] for y in samples]), np.array(swept))
+    G, T = np.array([lift.at(y[0])[:2] for y in samples]).T
+    return G, T, np.array([y[1] for y in samples]), np.array(swept)
 
 
 def _push_component(G, T, H, swept, s):
@@ -230,7 +267,8 @@ def _push_component(G, T, H, swept, s):
 
     A component invariant under the extended involution covers its image in
     the quotient twice; it is cut at the half period (the sample closest to
-    the involution image of the start, which lies on the component exactly).
+    the involution image of the start, which lies on the component exactly;
+    it is taken in the lattice translate nearest to that sample).
     Returns the curve and its provenance.
     """
     n = len(G) - 1
@@ -239,6 +277,7 @@ def _push_component(G, T, H, swept, s):
     doubled = dists[kmin] < 3 * STEP_MAX and n // 3 <= kmin <= 2 * n // 3 + 1
     if doubled:
         g, t, h = md.iota_hat(G[0], T[0], H[0])
+        g, t = (x + np.round((y[kmin] - x) / TWO_PI) * TWO_PI for x, y in ((g, G), (t, T)))
         G = np.append(G[: kmin + 1], g)
         T = np.append(T[: kmin + 1], t)
         H = np.concatenate([H[: kmin + 1], h[None]])
@@ -303,15 +342,14 @@ def _seed_rows(g, t, s):
 def _sweep(lift, s, mirrored):
     """Both fiber branches over the rows of a closed constraint lift.
 
-    Rows are unrolled over the lift's period: row r sits at lift[r % m] +
-    (r // m) (lift[m] - lift[0]).  The rows far from the corners (_seed_rows)
-    are solved on both branches by one batched _fiber_at call.  On a doubled
-    arc (mirrored) row m - r is the involution image of row r on the same
-    branch, so only rows up to m / 2 are solved.  A row is regular when both
-    branches converged, lie at least SWEEP_SEP_MIN apart, and the step to
-    the next row, |d(gamma, theta)| combined with the larger |dh| of the two
-    branches, is at most STEP_MAX, the longest continuation step.
-    Returns H (m, 2, 3), ok (m, 2) and the regular rows (m,).
+    The rows far from the corners (_seed_rows) are solved on both branches
+    by one batched _fiber_at call.  On a doubled arc (mirrored) row m - r is
+    the involution image of row r on the same branch, so only rows up to
+    m / 2 are solved.  A row is regular when both branches converged, lie at
+    least SWEEP_SEP_MIN apart, and the step to the next row, |d(gamma,
+    theta)| combined with the larger |dh| of the two branches, is at most
+    STEP_MAX, the longest continuation step.  Returns H (m, 2, 3), ok (m, 2)
+    and the regular rows (m,); _Lift unrolls them over the lift's period.
     """
     m = len(lift) - 1
     half = m // 2 + 1 if mirrored else m
@@ -328,37 +366,29 @@ def _sweep(lift, s, mirrored):
     return H, ok, ok.all(axis=1) & (sep >= SWEEP_SEP_MIN) & (step <= STEP_MAX)
 
 
-def _rows(lift, H, r, b):
-    """(gamma, theta, h) of the unrolled rows r (an array) on branch b."""
-    m = len(lift) - 1
-    gt = lift[r % m] + (r // m)[:, None] * (lift[-1] - lift[0])
-    return gt[:, 0], gt[:, 1], H[r % m, b]
-
-
-def _skip(system, lift, H, reg, y, tan, start):
+def _skip(lift, H, reg, y, tan, start):
     """The swept rows ahead of y on its sheet, for trace_component's skip.
 
-    y lies over the unrolled rows i, i + 1 around its foot on the projected
-    lift.  When both are regular and the h of y is within SWEEP_SEP_MIN / 2
-    of their branch b, the rows of b ahead of y in the direction of tan are
-    taken up to the first one that is not regular, or up to the start's row
-    (to within CLOSURE_TOL).  Returns (G, T, H, closed), closed when the
-    rows end at the start.
+    y lies over the unrolled rows i, i + 1 around its arclength u.  When
+    both are regular and the h of y is within SWEEP_SEP_MIN / 2 of their
+    branch b, the rows of b ahead of y in the direction of tan (the sign of
+    its du) are taken up to the first one that is not regular, or up to the
+    start's row (to within CLOSURE_TOL).  Returns (U, H, closed), closed when
+    the rows end at the start.
     """
-    m, cum = len(lift) - 1, system.proj.cum
-    q = float(np.interp(system.proj.project(np.array([y[0], y[1]]))[1], cum, np.arange(len(cum))))
-    q -= (len(cum) - 1 - m) // 2                   # three periods are projected, or one
-    i = math.floor(q)
-    dist = np.linalg.norm(y[2] - (1 - (q - i)) * H[i % m] - (q - i) * H[(i + 1) % m], axis=-1)
+    m, q = lift.m, lift.at(y[0])[4]
+    i, w = math.floor(q), q - math.floor(q)
+    dist = np.linalg.norm(np.asarray(y[1]) - (1 - w) * H[i % m] - w * H[(i + 1) % m], axis=-1)
     b = int(np.argmin(dist))
     if not (reg[i % m] and reg[(i + 1) % m] and dist[b] < SWEEP_SEP_MIN / 2):
-        return (), (), (), False
-    d = 1 if np.dot(tan[:2], lift[i % m + 1] - lift[i % m]) > 0 else -1
+        return (), (), False
+    d = 1 if tan[0] > 0 else -1
     # rows within rounding of y count as passed
     ahead = (math.floor(q + 1e-9) + 1 if d > 0 else math.ceil(q - 1e-9) - 1) + d * np.arange(m)
-    G, T, Hb = _rows(lift, H, ahead[:np.append(np.flatnonzero(~reg[ahead % m]), m)[0]], b)
-    at = np.append(np.flatnonzero(_ydist(start, (G, T, Hb)) < CLOSURE_TOL), len(G))[0]
-    return G[:at], T[:at], Hb[:at], at < len(G)
+    r = ahead[:np.append(np.flatnonzero(~reg[ahead % m]), m)[0]]
+    U, Hb = lift.cum[r % m] + (r // m) * lift.period, H[r % m, b]
+    at = np.append(np.flatnonzero(lift.dist(start, U, Hb) < CLOSURE_TOL), len(U))[0]
+    return U[:at], Hb[:at], at < len(U)
 
 
 def compose_curve(curve, s):
@@ -380,32 +410,25 @@ def compose_curve(curve, s):
     """
     if not (0 < s < math.pi / 4):
         raise ValueError("s must lie in (0, pi/4)")
-    fine = curve.resampled(min(0.02, curve.length() / 64))
-    lift = cv.constraint_lift(fine)
-    disp = lift[-1] - lift[0]
-    if np.linalg.norm(disp) > 1e-9:
-        tiled = np.concatenate([lift[:-1] - disp, lift[:-1], lift + disp], axis=0)
-    else:
-        tiled = lift
+    pts = cv.constraint_lift(curve.resampled(min(0.02, curve.length() / 64)))
+    lift = _Lift(pts)
+    tiled = (np.concatenate([pts[:-1] - lift.disp, pts[:-1], pts + lift.disp], axis=0)
+             if np.linalg.norm(lift.disp) > 1e-9 else pts)
     projector = cv.PolylineProjector(tiled, closed=True)
-    system = _System(projector, s)
-    seg = np.linalg.norm(np.diff(lift, axis=0), axis=-1)
-    cumlen = np.concatenate([[0.0], np.cumsum(seg)])
-    seeds = np.searchsorted(cumlen, np.linspace(0.08, 0.92, N_SEEDS) * cumlen[-1]) % len(seg)
-    H, ok, reg = _sweep(lift, s, curve.kind == "arc")
-
-    def skip(y, tan, start):
-        return _skip(system, lift, H, reg, y, tan, start)
+    system = _System(lift, s)
+    seeds = np.searchsorted(lift.cum, np.linspace(0.08, 0.92, N_SEEDS) * lift.period) % lift.m
+    H, ok, reg = _sweep(pts, s, curve.kind == "arc")
+    skip = functools.partial(_skip, lift, H, reg)
 
     found, components, provenance = [], [], []
     for r, b in zip(np.repeat(seeds, 2), np.tile([0, 1], N_SEEDS)):
-        y = tuple(a[0] for a in _rows(lift, H, np.array([r]), b))
+        y = (pts[r, 0], pts[r, 1], H[r, b])
         iy = md.iota_hat(*y)
         if not ok[r, b] or any(min(np.min(_ydist(y, f)), np.min(_ydist(iy, f))) < 3 * STEP_MAX
                                for f in found):
             continue
         try:
-            *ys, swept = trace_component(system, y, skip)
+            *ys, swept = trace_component(system, (lift.cum[r], H[r, b]), skip)
         except (ContinuationStall, NonTransverse):
             continue
         comp, prov = _push_component(*ys, swept, s)
@@ -417,8 +440,7 @@ def compose_curve(curve, s):
 
     # definitional check: the trace projects onto the input curve
     for prov in provenance:
-        sd = projector.signed_distances(
-            np.stack([prov["gamma"], prov["theta"]], axis=-1))
+        sd = projector.signed_distances(np.stack([prov["gamma"], prov["theta"]], axis=-1))
         worst = float(np.max(np.abs(sd), initial=0.0))
         if worst > 1e-6:
             raise ContinuationStall(f"trace left the input curve by {worst:.2e}")

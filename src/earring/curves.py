@@ -166,10 +166,17 @@ def doubled_arc_lift(curve):
 
 
 def constraint_lift(curve):
-    """Closed polyline in R^2 cutting out the curve as a constraint set."""
+    """Closed polyline in R^2 cutting out the curve as a constraint set.
+
+    A loop closed through the involution is followed by its image under
+    p -> pts[-1] + pts[0] - p (the involution up to the lattice): it closes.
+    """
     if curve.kind == "arc":
         return doubled_arc_lift(curve)
-    return curve.samples.copy()
+    pts = curve.samples
+    if curve.closure == "iota":
+        return np.concatenate([pts, (pts[-1] + pts[0] - pts)[1:]], axis=0)
+    return pts.copy()
 
 
 # ---------------------------------------------------------------------------

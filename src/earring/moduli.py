@@ -21,13 +21,14 @@ bitwise with the full quaternion chain (up to the sign of exact zeros).  At
 s = 0 the limit is H1 = -hx cos theta - hy sin theta + hz sin gamma and
 H2 = -hx.
 
-Everything here is vectorized: gamma/theta broadcast, h has shape (..., 3)
-(the imaginary components), and s is a scalar.  All evaluations accept complex
-input so Jacobians are computed by complex-step differentiation.
+Everything here is vectorized (gamma/theta broadcast, h of shape (..., 3), s
+a scalar) or takes one point in Python numbers (h a 3-tuple); complex input
+gives complex-step Jacobians.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -47,6 +48,7 @@ FIBER_CORNER_DELTA = 0.05  # solve_fiber refuses base points closer to a corner
 CORNER_GAP_STEP = 1e-5  # corner_system_gap's first tau grid
 
 _AXES = np.eye(3)
+_AXES_T = tuple(map(tuple, _AXES.tolist()))
 _IOTA_H = np.array([1.0, -1.0, -1.0])   # h -> -i h i on pure h
 
 
@@ -66,8 +68,11 @@ def _parts(gamma, theta, h):
     """(cos gamma, sin gamma, cos theta, sin theta, hx, hy, hz), broadcasting.
 
     The nonzero components of b = (0, cos gamma, sin gamma, 0),
-    f = (0, cos theta, sin theta, 0) and h.
+    f = (0, cos theta, sin theta, 0) and h; Python numbers for h a 3-tuple.
     """
+    if type(h) is tuple:
+        m = cmath if isinstance(gamma + theta + h[0] + h[1] + h[2], complex) else math
+        return (m.cos(gamma), m.sin(gamma), m.cos(theta), m.sin(theta), *h)
     gamma, theta, h = (np.asarray(x, dtype=np.result_type(x, 1.0)) for x in (gamma, theta, h))
     return (np.cos(gamma), np.sin(gamma), np.cos(theta), np.sin(theta),
             h[..., 0], h[..., 1], h[..., 2])
@@ -161,7 +166,9 @@ def iota_hat(gamma, theta, h):
 
 
 def _cross(a, b):
-    """a x b over the last axis of two (..., 3) arrays."""
+    """a x b of two 3-tuples, or over the last axis of two (..., 3) arrays."""
+    if type(a) is tuple:
+        return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
@@ -171,8 +178,12 @@ def _tangent_frame(h):
     """Orthonormal frame (e1, e2) of the tangent plane at unit h (..., 3).
 
     e1 is h x e for the coordinate axis e least aligned with h, normalized,
-    and e2 = h x e1.
+    and e2 = h x e1.  For h a 3-tuple of floats the frame is two 3-tuples.
     """
+    if type(h) is tuple:
+        a = [abs(x) for x in h]
+        e1 = qt.normalize(_cross(h, _AXES_T[a.index(min(a))]))
+        return e1, _cross(h, e1)
     h = np.asarray(h)
     e1 = _cross(h, _AXES[np.argmin(np.abs(h), axis=-1)])
     e1 = e1 / np.sqrt(np.sum(e1 * e1, axis=-1, keepdims=True))
@@ -256,20 +267,15 @@ class FiberSolution:
 
 def _merge(h, res, tol):
     """Merge near-duplicate sphere points, keeping the best residual."""
-    order = np.argsort(res)
     kept, kres, kmul = [], [], []
-    for idx in order:
-        v = h[idx]
-        placed = False
-        for j, w in enumerate(kept):
-            if np.linalg.norm(v - w) < tol:
-                kmul[j] += 1
-                placed = True
-                break
-        if not placed:
-            kept.append(v)
+    for idx in np.argsort(res):
+        j = next((j for j, w in enumerate(kept) if np.linalg.norm(h[idx] - w) < tol), None)
+        if j is None:
+            kept.append(h[idx])
             kres.append(res[idx])
             kmul.append(1)
+        else:
+            kmul[j] += 1
     return np.array(kept), np.array(kres), np.array(kmul)
 
 

@@ -13,6 +13,10 @@ chains.
 
 from __future__ import annotations
 
+import cmath
+import math
+import operator
+
 import numpy as np
 
 I = np.array([0.0, 1.0, 0.0, 0.0])
@@ -58,6 +62,11 @@ def norm(q):
 
 
 def normalize(q):
+    """q scaled to unit norm; a tuple (complex entries give a complex step) gives a tuple."""
+    if type(q) is tuple:
+        n = sum(map(operator.mul, q, q))
+        n = cmath.sqrt(n) if isinstance(n, complex) else math.sqrt(n)
+        return tuple([x / n for x in q])
     return q / norm(q)[..., None]
 
 
@@ -93,11 +102,16 @@ def mul_chain(*qs, renorm=None):
 def exp_im_parts(x, y, z):
     """Components (re, x, y, z) of the exponential of x i + y j + z k.
 
-    Returns cos|v| and sin|v| * v/|v| for v = (x, y, z), broadcasting over
-    the three component arrays, with the quadratic Taylor form below
-    |v| < 1e-8 so the v -> 0 limit is exact.
+    Returns cos|v| and sin|v| * v/|v| for v = (x, y, z), broadcasting over the
+    three component arrays (Python numbers give Python numbers), with the
+    quadratic Taylor form below |v| < 1e-8 so the v -> 0 limit is exact.
     """
     r2 = x * x + y * y + z * z
+    if type(r2) in (float, complex):
+        m = cmath if type(r2) is complex else math
+        r = m.sqrt(r2)
+        c, sinc = (1.0 - r2 / 2.0, 1.0 - r2 / 6.0) if abs(r) < 1e-8 else (m.cos(r), m.sin(r) / r)
+        return c, sinc * x, sinc * y, sinc * z
     r = np.sqrt(r2)
     small = np.abs(r) < 1e-8
     # sin(r)/r via its quadratic Taylor polynomial on the small branch

@@ -4,9 +4,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from earring import cli
+from earring import correspondence as co
 from earring import curves as cv
 
 
@@ -50,6 +52,58 @@ def test_sample_moduli_circle_mode(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["histogram"] == {"36": 25}
     assert summary["rows"] == 25 * 36
+
+
+def _csv_by_row_loop(rows):
+    """The sample-moduli data lines as the per-value writer wrote them."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("argv", [["--s", "0.19", "--grid", "8", "sample-moduli"],
+                                  ["--s", "0", "--grid", "5", "sample-moduli", "--system", "F"],
+                                  ["--s", "0", "--grid", "6", "sample-moduli"]])
+def test_sample_moduli_csv_equals_row_loop(tmp_path, capsys, argv):
+    # %.17g round-trips every float, so the rows read back are the rows written
+    out = tmp_path / "m.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text()
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert text == "gamma,theta,hx,hy,hz,s,F2,F3\n" + _csv_by_row_loop(rows)
+
+
+class _RunLoopSvgPlot(cli.SvgPlot):
+    """SvgPlot with curve_wrapped's split written as a per-pair loop."""
+
+    def curve_wrapped(self, curve, color, width):
+        canon = cv.to_canonical(curve.resampled(self.step).samples)
+        runs, cur = [], [canon[0]]
+        for prev, nxt in zip(canon[:-1], canon[1:]):
+            if np.max(np.abs(nxt - prev)) > 0.5:
+                runs.append(cur)
+                cur = [nxt]
+            else:
+                cur.append(nxt)
+        runs.append(cur)
+        for run in runs:
+            if len(run) > 1:
+                self.polyline(run, color, width)
+
+
+@pytest.mark.parametrize("curve, s", [(cv.line_arc((0, 0), (math.pi, 0), n=65), 0.19),
+                                      (cv.circle_loop((1.5, 0.0), 0.5, n=65), 0.05)])
+def test_curve_wrapped_equals_run_loop(curve, s):
+    # both curves cross theta = 0, where the drawing is split
+    comps = co.compose_curve(curve, s).components
+    svgs = []
+    for plot in (cli.SvgPlot(), _RunLoopSvgPlot()):
+        plot.frame()
+        plot.curve_wrapped(curve, "#777777", 1.0)
+        for comp in comps:
+            plot.curve_wrapped(comp, "#d62728", 2.2)
+        svgs.append(plot.tostring())
+    assert svgs[0] == svgs[1]
+    assert svgs[0].count("<polyline") > 1 + len(comps)
 
 
 def test_compose_arc_and_svg_stability(tmp_path, capsys):

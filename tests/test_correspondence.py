@@ -210,21 +210,19 @@ def test_stalled_interior_seed_raises(monkeypatch):
 
 def test_corrector_returns_its_final_evaluation():
     L = cv.circle_loop((PI / 2, PI / 2), 0.5, n=129)
-    system = co._System(cv.PolylineProjector(L.samples, closed=True), 0.05)
+    system = co._System(co._Lift(L.samples), 0.05)
     h, ok = co._fiber_at(np.array([PI / 2 + 0.5]), np.array([PI / 2]), 0.05,
                          np.array([1]))
     assert ok[0]
-    y0 = (PI / 2 + 0.5 + 1e-3, PI / 2 + 2e-3, h[0])
+    y0 = (2e-3, tuple((h[0] + [0.0, 1e-3, -1e-3]).tolist()))
     y, res, jac, frame = co._corrector(system, y0)
-    assert np.max(np.abs(res)) < 1e-10
-    tan = co._tangent5(jac, frame)
-    y_pred = co._apply(y, 0.02 * co._to4(tan, frame), frame)
+    assert max(map(abs, res)) < 1e-10
+    tan = co._tangent(jac, frame)
+    y_pred = co._apply(y, tuple(0.02 * x for x in co._to_local(tan, frame)), frame)
     # converged, converged along a tangent, and stopped after max_iter
-    for start, kwargs in ((y0, {}), (y_pred, {"tangent5": tan}), (y0, {"max_iter": 1})):
-        y, res, jac, (e1, e2) = co._corrector(system, start, **kwargs)
-        res2, jac2, (f1, f2) = system.res_and_jac(*y)
-        assert np.array_equal(res, res2) and np.array_equal(jac, jac2)
-        assert np.array_equal(e1, f1) and np.array_equal(e2, f2)
+    for start, kwargs in ((y0, {}), (y_pred, {"tangent": tan}), (y0, {"max_iter": 1})):
+        y, res, jac, frame = co._corrector(system, start, **kwargs)
+        assert (res, jac, frame) == system.res_and_jac(*y)
 
 
 def test_vectorized_quotient_distance():
@@ -248,12 +246,14 @@ def test_vectorized_quotient_distance():
 def _continuation_components(loop, s):
     """Both branches at one sample of a loop traced all the way round, pushed."""
     fine = loop.resampled(min(0.02, loop.length() / 64))
-    system = co._System(cv.PolylineProjector(fine.samples, closed=True), s)
-    g, t = fine.samples[len(fine) // 3]
+    lift = co._Lift(fine.samples)
+    system = co._System(lift, s)
+    k = len(fine) // 3
+    g, t = fine.samples[k]
     h, ok = co._fiber_at(np.array([g, g]), np.array([t, t]), s, np.array([1, -1]))
     comps = []
     for hk in h[ok]:
-        *ys, swept = co.trace_component(system, (g, t, hk))
+        *ys, swept = co.trace_component(system, (lift.cum[k], hk))
         assert not swept.any()
         if all(np.min(co._ydist((g, t, hk), f[:3])) >= 3 * co.STEP_MAX for f in comps):
             comps.append((*ys, swept))
@@ -340,3 +340,42 @@ def test_curved_arc_sweep_matches_continuation(monkeypatch, end, height):
         assert dist[k] < 3 * co.STEP_MAX
         assert np.dot([w["gamma"][1] - w["gamma"][0], w["theta"][1] - w["theta"][0]],
                       [G[k + 1] - G[k], T[k + 1] - T[k]]) > 0
+
+
+@pytest.mark.parametrize("s", [0.05, 0.1, 0.19])
+@pytest.mark.parametrize("radius", [0.6, 1.0])
+@pytest.mark.parametrize("corner", range(4))
+def test_iota_closed_loops_compose(corner, radius, s):
+    # a circle around a corner closes through the involution: its lift is a
+    # half circle, and its composed image is two loops in its class
+    loop = cv.corner_circle(corner, radius)
+    assert loop.closure == "iota"
+    out = co.compose_curve(loop, s)
+    assert out.component_count() == 2
+    l_i = (-1, -1, -1) if corner == 3 else tuple(int(k == corner) for k in range(3))
+    for comp, prov in zip(out.components, out.provenance):
+        assert tp.homology_class(comp).coefficients() in (l_i, tuple(-c for c in l_i))
+        assert np.max(prov["residual"]) <= 1e-9
+        if s == 0.05:
+            assert cv.hausdorff(_canon(comp), _canon(loop)) < 0.1
+
+
+@settings(max_examples=50)
+@given(st.sampled_from(["loop", "arc", "iota"]), st.floats(-3.0, 3.0), st.integers(-2, 2))
+def test_lift_at_is_interpolation_unrolled(kind, frac, n):
+    if kind == "loop":
+        curve = cv.circle_loop((1.0, 2.0), 0.7, n=33)
+    elif kind == "arc":
+        curve = cv.line_arc((0, 0), (PI, PI), n=17)
+    else:
+        curve = cv.corner_circle(2, 0.5, n=21)
+    pts = cv.constraint_lift(curve)
+    lift = co._Lift(pts)
+    u = frac % 1.0 * lift.period
+    g, t, dg, dt, q = lift.at(u + n * lift.period)
+    assert abs(g - np.interp(u, lift.cum, pts[:, 0]) - n * lift.disp[0]) < 1e-12
+    assert abs(t - np.interp(u, lift.cum, pts[:, 1]) - n * lift.disp[1]) < 1e-12
+    assert abs(q - np.interp(u, lift.cum, np.arange(lift.m + 1)) - n * lift.m) < 1e-9
+    # the direction of the segment at u (at a vertex, of either one)
+    dirs = [pts[k + 1] - pts[k] for k in {math.floor(q + e) % lift.m for e in (-1e-9, 1e-9)}]
+    assert any(np.allclose([dg, dt], d / np.linalg.norm(d), rtol=0, atol=1e-12) for d in dirs)

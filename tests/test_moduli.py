@@ -161,6 +161,32 @@ def test_closed_form_kernel_equals_quaternion_chain(g, t, h, s):
             assert np.array_equal(have, want)
 
 
+@settings(max_examples=300)
+@given(kernel_angle, kernel_angle, st.tuples(unit, unit, unit).filter(
+    lambda v: np.linalg.norm(v) > 0.1), kernel_s, st.tuples(unit, unit))
+def test_scalar_kernel_equals_array_kernel(g, t, h, s, d):
+    # one point in Python numbers (h a 3-tuple) on the complex-step stencil of
+    # the continuation Jacobian (value, a base direction d, two sphere
+    # directions): values to 1e-15, Jacobian columns to 1e-12 of their largest
+    # entry (columns at rounding level, below 1e-15, to 1e-15)
+    h = np.array(h) / np.linalg.norm(h)
+    e1, e2 = md._tangent_frame(h)
+    for want, have in zip((e1, e2), md._tangent_frame(tuple(h.tolist()))):
+        assert type(have) is tuple and np.max(np.abs(np.array(have) - want)) <= 1e-15
+    eps = md.CS_STEP
+    gg = np.array([g, g + 1j * eps * d[0], g, g])
+    tt = np.array([t, t + 1j * eps * d[1], t, t])
+    hh = np.stack([h, h, h + 1j * eps * e1, h + 1j * eps * e2])
+    hh = hh / np.sqrt(np.sum(hh * hh, axis=-1))[:, None]
+    want = np.array(md.eval_H(gg, tt, hh, s))
+    have = np.array([md.eval_H(g, t, tuple(h.tolist()), s)]
+                    + [md.eval_H(complex(a), complex(b), tuple(c.tolist()), s)
+                       for a, b, c in zip(gg[1:], tt[1:], hh[1:])]).T
+    assert np.max(np.abs(have.real - want.real)) <= 1e-15
+    jw, jh = want[:, 1:].imag / eps, have[:, 1:].imag / eps
+    assert np.all(np.abs(jh - jw) <= np.maximum(1e-12 * np.max(np.abs(jw), axis=0), 1e-15))
+
+
 def test_newton_corrects_section_seed():
     # at s = 0.19 a generic section seed has a small nonzero residual whose
     # Newton-corrected zero exists nearby, confirmed by the sweep oracle
