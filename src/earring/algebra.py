@@ -515,7 +515,8 @@ def reduce(cx):
     Alternates (1) Gaussian cancellation of id-entries and (2) greedy
     unitriangular base changes that strictly decrease the total number of
     words in the differential, until a fixpoint; homotopy type is preserved
-    by both moves.
+    by both moves.  An id-entry whose cancellation would create an arrow
+    against the filtration (NonCancellable) is left in place.
     """
     ok, bad = mc_check(cx)
     if not ok:
@@ -524,15 +525,16 @@ def reduce(cx):
     changed = True
     while changed:
         changed = False
-        # pass 1: cancel an identity arrow
-        found = None
+        # pass 1: cancel the first identity arrow that can be cancelled
         for (i, j), e in sorted(cx.diff.items()):
             if any(w.is_identity() for w in e.words):
-                found = (i, j)
+                try:
+                    cx = _cancel_id_arrow(cx, i, j)
+                except NonCancellable:
+                    continue
+                changed = True
                 break
-        if found is not None:
-            cx = _cancel_id_arrow(cx, *found)
-            changed = True
+        if changed:
             continue
         # pass 2: a base change strictly reducing the term count
         best = None
@@ -752,6 +754,8 @@ def _template_crossings(samples):
 
     Returns a list of (arclength position index u, type) with type the
     idempotent of the template arc crossed, plus the crossing radius data.
+    A sample exactly on a line counts as lying above it, so a crossing
+    through a sample is found once.
     """
     out = []
     for k in range(len(samples) - 1):
@@ -760,7 +764,7 @@ def _template_crossings(samples):
         for m in range(int(math.floor(min(p[1], q[1]) / TWO_PI)),
                        int(math.ceil(max(p[1], q[1]) / TWO_PI)) + 1):
             y = m * TWO_PI
-            if (p[1] - y) * (q[1] - y) < 0:
+            if (p[1] < y) != (q[1] < y):
                 t = (y - p[1]) / (q[1] - p[1])
                 x = p[0] + t * (q[0] - p[0])
                 out.append((k + t, IDEM_DOT, np.array([x, y])))
@@ -768,7 +772,7 @@ def _template_crossings(samples):
         for m in range(int(math.floor((min(p[0], q[0]) - _PI) / TWO_PI)),
                        int(math.ceil((max(p[0], q[0]) - _PI) / TWO_PI)) + 1):
             x = _PI + m * TWO_PI
-            if (p[0] - x) * (q[0] - x) < 0:
+            if (p[0] < x) != (q[0] < x):
                 t = (x - p[0]) / (q[0] - p[0])
                 y = p[1] + t * (q[1] - p[1])
                 out.append((k + t, IDEM_CIRC, np.array([x, y])))

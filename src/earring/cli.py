@@ -208,7 +208,7 @@ def cmd_compose(cfg, args):
         return EXIT_OK
     try:
         out = co.compose_curve(curve, cfg.s)
-    except (co.ContinuationStall, co.FoldUnresolved, co.NonTransverse) as exc:
+    except (co.ContinuationStall, co.NonTransverse) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
@@ -348,8 +348,7 @@ def cmd_algebra(cfg, args):
             cx = al.curve_to_complex(curve)
             sys.stdout.write(cx.to_text())
             return EXIT_OK
-    except (al.AlgebraError, al.UnsupportedArrow, al.TopLeftCornerHit,
-            al.NonCancellable) as exc:
+    except (al.AlgebraError, al.UnsupportedArrow, al.TopLeftCornerHit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CLASSIFY
     except (OSError, json.JSONDecodeError, IndexError) as exc:

@@ -47,8 +47,8 @@ class ContinuationStall(RuntimeError):
     pass
 
 
-class FoldUnresolved(RuntimeError):
-    pass
+class FoldUnresolved(ContinuationStall):
+    """A fold that continuation cannot step through; compose_curve skips its seed."""
 
 
 class NonTransverse(RuntimeError):
@@ -405,8 +405,9 @@ def compose_curve(curve, s):
     involution image.  Each is traced by continuation (trace_component),
     which takes the swept rows of each regular stretch it reaches as they
     are (_skip), so that continuation steps are left only in the fold
-    windows near the corners.  Each component's provenance marks its swept
-    samples in "swept".
+    windows near the corners.  A seed whose trace raises ContinuationStall
+    (FoldUnresolved included) or NonTransverse is skipped.  Each component's
+    provenance marks its swept samples in "swept".
     """
     if not (0 < s < math.pi / 4):
         raise ValueError("s must lie in (0, pi/4)")

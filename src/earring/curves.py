@@ -18,6 +18,7 @@ from . import pillowcase as pc
 from .pillowcase import TWO_PI
 
 STEP_MAX = 0.05
+EQ_QUANTUM = 1e-12  # to_canonical's snap width at the edges and the theta seam
 
 
 class CurveError(ValueError):
@@ -245,15 +246,31 @@ class PolylineProjector:
 # Quotient-metric utilities
 
 
+def _remainder(x):
+    """x - n 2 pi in [-pi, pi] for the nearest integer n, exactly and oddly.
+
+    fmod is exact and odd; the fold by 2 pi is exact by Sterbenz's lemma.
+    """
+    r = np.fmod(x, TWO_PI)
+    return np.where(r > math.pi, r - TWO_PI, np.where(r < -math.pi, r + TWO_PI, r))
+
+
 def to_canonical(samples):
-    """Canonical P-representatives of lift samples (vectorized)."""
-    g = samples[:, 0] % TWO_PI
-    t = samples[:, 1] % TWO_PI
-    flip = g > math.pi
-    g = np.where(flip, TWO_PI - g, g)
-    t = np.where(flip, (TWO_PI - t) % TWO_PI, t)
-    edge = np.minimum(g, math.pi - g) < 1e-15
-    t = np.where(edge & (t > math.pi), TWO_PI - t, t)
+    """Canonical P-representatives (gamma, theta) in [0, pi] x [0, 2 pi) of lift samples.
+
+    The one canonicaliser of the package.  The reduction mod 2 pi is odd, so
+    a sample and its involution image get bitwise the same representative.
+    Within EQ_QUANTUM of an edge gamma in {0, pi}, gamma snaps onto the edge
+    and theta folds into [0, pi]; within EQ_QUANTUM below 2 pi, theta snaps
+    to 0.
+    """
+    g, t = _remainder(samples[:, 0]), _remainder(samples[:, 1])
+    flip = g < 0.0
+    g, t = np.where(flip, -g, g), np.where(flip, -t, t)
+    low, high = g < EQ_QUANTUM, math.pi - g < EQ_QUANTUM
+    g = np.where(low, 0.0, np.where(high, math.pi, g))
+    t = np.where(low | high, np.abs(t),
+                 np.where(t <= -EQ_QUANTUM, t + TWO_PI, np.where(t < 0.0, 0.0, t)) + 0.0)
     return np.stack([g, t], axis=-1)
 
 

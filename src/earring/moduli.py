@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -393,20 +393,6 @@ def solve_fiber_grid(gammas, thetas, s):
 # Restriction to the two boundary pillowcases
 
 
-@dataclass
-class ModuliPoint:
-    gamma: float
-    theta: float
-    h: np.ndarray          # (3,) imaginary components, unit length
-    s: float
-    residual: float = field(default=0.0)
-
-    def validate(self, tol=1e-9):
-        f2, f3 = eval_F(self.gamma, self.theta, self.h, self.s)
-        r = max(abs(float(f2)), abs(float(f3)))
-        return r <= tol
-
-
 def inner_triple(gamma, theta, h, s):
     """(c, f, d) with c = conj(q)conj(p) b p q and d = -conj(h) a h."""
     parts = _parts(gamma, theta, h)
@@ -424,14 +410,6 @@ def inner_invariants(gamma, theta, h, s):
     """(cos g', cos t', cos(g'-t')) of the inner-boundary triple, vectorized."""
     c, f, d = inner_triple(gamma, theta, h, s)
     return pc.triple_invariants(c, f, d)
-
-
-def restrict(m):
-    """Restriction of a moduli point to the two boundary pillowcases."""
-    p0 = pc.normalize(m.gamma, m.theta)
-    c, f, d = inner_triple(m.gamma, m.theta, m.h, m.s)
-    p1 = pc.triple_to_pillowcase(c, f, d)
-    return p0, p1
 
 
 def corner_margin(gamma, theta, h, s):

@@ -38,18 +38,6 @@ def re(q):
     return q[..., 0]
 
 
-def im(q):
-    """Imaginary part as an (..., 3) vector in su(2)."""
-    return q[..., 1:]
-
-
-def from_im(v):
-    """Purely imaginary quaternion from an (..., 3) vector."""
-    v = np.asarray(v)
-    zero = np.zeros(v.shape[:-1], dtype=v.dtype)
-    return np.concatenate([zero[..., None], v], axis=-1)
-
-
 def conj(q):
     """Quaternion conjugate; equals the inverse for unit quaternions."""
     out = np.array(q, copy=True)
@@ -127,23 +115,8 @@ def exp_im(v):
     return quat(*exp_im_parts(v[..., 0], v[..., 1], v[..., 2]))
 
 
-def rotate(g, q):
-    """Conjugation action g q g^-1 of a unit quaternion g.
-
-    Preserves the real part and the norm of the imaginary part.
-    """
-    return mul(mul(g, q), conj(g))
-
-
 def exp_k(angle):
     """e^{angle * k}, broadcasting over the input shape."""
     angle = np.asarray(angle, dtype=np.result_type(angle, 1.0))
     zero = np.zeros_like(angle)
     return quat(np.cos(angle), zero, zero, np.sin(angle))
-
-
-def exp_i(angle):
-    """e^{angle * i}."""
-    angle = np.asarray(angle, dtype=np.result_type(angle, 1.0))
-    zero = np.zeros_like(angle)
-    return quat(np.cos(angle), np.sin(angle), zero, zero)

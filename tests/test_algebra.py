@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from earring import algebra as al
 from earring import correspondence as co
@@ -112,6 +114,79 @@ def test_zigzag_updates_through_cancellation():
     assert out.n_gens() == 2
     assert str(out.entry(0, 1)) == "D1D1"
     assert al.mc_check(out)[0]
+
+
+BASIS = al.basis_words(3)
+
+
+@st.composite
+def twisted_complexes(draw):
+    """Strictly upper-triangular complexes with entries of at most two words of length <= 3."""
+    n = draw(st.integers(2, 5))
+    idems = draw(st.lists(st.sampled_from([O, D]), min_size=n, max_size=n))
+    diff = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            fits = [w for w in BASIS if w.source == idems[i]
+                    and (w.idem if w.is_identity() else w.target) == idems[j]]
+            words = draw(st.lists(st.sampled_from(fits), max_size=2))
+            if words:
+                diff[(i, j)] = al.Element(words)
+    return al.TwistedComplex(idems, diff)
+
+
+@settings(max_examples=200)
+@given(twisted_complexes().filter(lambda cx: al.mc_check(cx)[0]))
+def test_reduce_keeps_mc_and_is_idempotent(cx):
+    out = al.reduce(cx)
+    assert al.mc_check(out) == (True, None)
+    assert al.reduce(out).same_as(out)
+
+
+def test_reduce_keeps_id_arrow_that_would_break_the_filtration():
+    # cancelling g1 -> g5 would add g4 -> g3 = (S2 + S2S1S2) S1S2S1 against g3 -> g4
+    cx = al.TwistedComplex.from_text(
+        "gen g1 o\ngen g2 o\ngen g3 *\ngen g4 *\ngen g5 o\n"
+        "g1 -> g3 : S1S2S1\ng1 -> g5 : D2D2+ido\ng2 -> g5 : D2\n"
+        "g3 -> g4 : D1+D1D1D1\ng4 -> g5 : S2+S2S1S2\n")
+    assert al.mc_check(cx)[0]
+    out = al.reduce(cx)
+    assert out.n_gens() == 5 and str(out.entry(0, 4)) == "ido"
+    assert al.mc_check(out) == (True, None)
+    assert al.reduce(out).same_as(out)
+
+
+@st.composite
+def motif_chains(draw):
+    """Chains of 2-5 generators whose arrows are chord-motif words, with d^2 = 0.
+
+    For a chain, d^2 = 0 says exactly that consecutive arrows multiply to zero.
+    """
+    idems, words = [draw(st.sampled_from([O, D]))], []
+    for _ in range(draw(st.integers(1, 4))):
+        nxt = [(b, w) for (a, b, _, _), w in sorted(al._WORD_BY_MOTIF.items())
+               if a == idems[-1] and (not words or al.mul_B(E(words[-1]), E(w)).is_zero())]
+        b, w = draw(st.sampled_from(nxt))
+        idems.append(b)
+        words.append(w)
+    return al.TwistedComplex(idems, {(k, k + 1): w for k, w in enumerate(words)})
+
+
+@settings(max_examples=100)
+@given(motif_chains())
+def test_chain_curve_round_trip(cx):
+    assert al.mc_check(cx) == (True, None)
+    assert al.curve_to_complex(al.complex_to_curve(cx)).same_as(cx)
+
+
+def test_crossing_through_a_sample_is_read_once():
+    # the chord from the first D1D1 wrap to the second S2S1 wrap passes
+    # through a sample exactly on the line theta = 0
+    cx = al.TwistedComplex([D] * 5, {(0, 1): "S2S1", (1, 2): "D1D1", (2, 3): "S2S1",
+                                     (3, 4): "D1D1"})
+    curve = al.complex_to_curve(cx)
+    assert 0.0 in curve.samples[1:-1, 1]
+    assert al.curve_to_complex(curve).same_as(cx)
 
 
 def test_complex_text_and_json_roundtrip():

@@ -307,6 +307,25 @@ def test_unswept_seeds_fall_back_to_continuation(monkeypatch):
     assert tp.classify_homology_fig8(out.components, A0, 0.19)["is_homology_fig8"]
 
 
+@pytest.mark.parametrize("end", [(PI, 0), (PI, PI), (0, PI)])
+def test_unresolved_fold_skips_only_its_seed(monkeypatch, end):
+    # a fold that stops the trace from the first seed leaves the others to find
+    # every component
+    arc = cv.line_arc((0, 0), end, n=129)
+    want = co.compose_curve(arc, 0.19).component_count()
+    trace, calls = co.trace_component, []
+
+    def first_seed_folds(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise co.FoldUnresolved("step underflow")
+        return trace(*args)
+
+    monkeypatch.setattr(co, "trace_component", first_seed_folds)
+    assert co.compose_curve(arc, 0.19).component_count() == want
+    assert len(calls) > 1
+
+
 def _circular_arc(end, height, n=129):
     """Arc of a circle from the corner (0, 0) to the corner end, bulging by height > 0."""
     a, b = np.zeros(2), np.asarray(end, dtype=float)

@@ -1,8 +1,9 @@
 import math
+import operator
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from earring import curves as cv
@@ -57,13 +58,43 @@ def test_doubled_arc_lift_closes():
                        atol=1e-12)
 
 
-def test_to_canonical_matches_normalize():
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(-10, 10, size=(200, 2))
+def _canonical(gamma, theta):
+    """Scalar reference for cv.to_canonical: one point in Python floats.
+
+    The reduction mod 2 pi is the exact IEEE remainder, which is odd.  Within
+    EQ_QUANTUM of an edge gamma in {0, pi}, gamma snaps onto the edge and
+    theta folds into [0, pi]; within EQ_QUANTUM below 2 pi, theta snaps to 0.
+    """
+    q = cv.EQ_QUANTUM
+    g = math.remainder(float(gamma), 2 * math.pi)
+    t = math.remainder(float(theta), 2 * math.pi)
+    if g < 0.0:
+        g, t = -g, -t
+    if g < q or math.pi - g < q:
+        return (0.0 if g < q else math.pi), abs(t)
+    if -q < t < 0.0:
+        return g, 0.0
+    return g, (t + 2 * math.pi if t < 0.0 else t + 0.0)
+
+
+_seams = [k * math.pi for k in range(-6, 7)]
+coordinate = st.one_of(
+    st.floats(-20, 20, allow_nan=False),
+    st.builds(operator.add, st.sampled_from(_seams), st.floats(-1e-13, 1e-13)))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=20))
+@example([(1.0, -1e-17)])        # a plain mod rounds theta up to 2 pi
+@example([(1e-13, 2.0), (math.pi + 1e-13, -3.0)])
+def test_to_canonical_matches_normalize(points):
+    pts = np.array(points, dtype=float)
     canon = cv.to_canonical(pts)
-    for (g, t), (cg, ct) in zip(pts, canon):
-        p = pc.normalize(g, t)
-        assert pc.dist(p, pc.normalize(cg, ct)) < 1e-9
+    assert canon.tobytes() == np.array([_canonical(g, t) for g, t in points]).tobytes()
+    assert cv.to_canonical(-pts).tobytes() == canon.tobytes()
+    assert cv.to_canonical(canon).tobytes() == canon.tobytes()
+    assert np.all((0.0 <= canon[:, 0]) & (canon[:, 0] <= math.pi))
+    assert np.all((0.0 <= canon[:, 1]) & (canon[:, 1] < 2 * math.pi))
 
 
 def test_unwrap_continuous():

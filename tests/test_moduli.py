@@ -5,9 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from earring import correspondence as co
+from earring import curves as cv
 from earring import moduli as md
 from earring import pillowcase as pc
 from earring import quaternion as qt
+
+
+def _pure(h):
+    """The pure quaternion with imaginary part h (..., 3)."""
+    h = np.asarray(h)
+    return np.concatenate([np.zeros(h.shape[:-1] + (1,), dtype=h.dtype), h], axis=-1)
 
 
 def _sigma_hat_points(n, seed=0):
@@ -41,7 +49,7 @@ def test_eval_F_matches_corner_formula():
     s = 0.19
     for tau in (0.3, 1.0, 2.4):
         h4 = qt.mul(qt.exp_k(tau), qt.I)
-        f2, f3 = md.eval_F(0.0, 0.0, qt.im(h4), s)
+        f2, f3 = md.eval_F(0.0, 0.0, h4[1:], s)
         assert float(f2) == pytest.approx(
             -math.sin(s) * math.cos(tau - s * math.sin(tau)), abs=1e-12)
         assert float(f3) == pytest.approx(
@@ -113,16 +121,16 @@ def test_iota_hat_is_conjugation_by_i():
     h = rng.normal(size=(200, 3))
     g, t, hh = md.iota_hat(0.3, -1.2, h)
     assert g == -0.3 and t == 1.2
-    assert np.array_equal(hh, qt.im(-qt.mul_chain(qt.I, qt.from_im(h), qt.I)))
+    assert np.array_equal(hh, -qt.mul_chain(qt.I, _pure(h), qt.I)[:, 1:])
 
 
 def _chain(gamma, theta, h, s):
     """eval_F, eval_H and inner_invariants through the full quaternion chain."""
-    h4 = qt.from_im(h)
+    h4 = _pure(h)
     b = qt.mul(qt.exp_k(gamma), qt.I)
     f = qt.mul(qt.exp_k(theta), qt.I)
-    p = qt.exp_im(s * qt.im(qt.mul(b, h4)))
-    q = qt.exp_im(s * qt.im(qt.mul_chain(f, qt.conj(qt.I), h4)))
+    p = qt.exp_im(s * qt.mul(b, h4)[..., 1:])
+    q = qt.exp_im(s * qt.mul_chain(f, qt.conj(qt.I), h4)[..., 1:])
     core = qt.mul_chain(qt.conj(p), qt.I, qt.conj(f), q, f)
     F = qt.re(core), qt.re(qt.mul(h4, core))
     if abs(s) < md.S0_EPS:
@@ -249,19 +257,19 @@ def test_fiber_freeness_margin():
 
 def test_restrict_s0_diagonal():
     hp, _ = md.sigma_sections(1.0, 2.0)
-    m = md.ModuliPoint(1.0, 2.0, hp, 0.0)
-    p0, p1 = md.restrict(m)
-    assert pc.dist(p0, pc.normalize(1.0, 2.0)) < 1e-12
-    assert pc.dist(p0, p1) < 1e-12
+    p0 = cv.to_canonical(np.array([[1.0, 2.0]]))
+    p1 = co._inner_canonical(np.array([1.0]), np.array([2.0]), hp[None], 0.0)
+    assert pc.dist_raw(*p0[0], 1.0, 2.0) < 1e-12
+    assert pc.dist_raw(*p0[0], *p1[0]) < 1e-12
 
 
 def test_restrict_isolated_019():
-    sol = md.solve_fiber(math.pi / 2, math.pi / 3, 0.19)
-    diag = pc.normalize(math.pi / 2, math.pi / 3)
-    for h in sol.h_list:
-        p0, p1 = md.restrict(md.ModuliPoint(math.pi / 2, math.pi / 3, h, 0.19))
-        assert pc.dist(p0, diag) < 1e-12
-        assert pc.dist(p1, diag) < 0.5
+    g, t = math.pi / 2, math.pi / 3
+    sol = md.solve_fiber(g, t, 0.19)
+    n = len(sol.h_list)
+    p1 = co._inner_canonical(np.full(n, g), np.full(n, t), sol.h_list, 0.19)
+    assert pc.dist_raw(*cv.to_canonical(np.array([[g, t]]))[0], g, t) < 1e-12
+    assert np.all(pc.dist_raw(p1[:, 0], p1[:, 1], g, t) < 0.5)
 
 
 def test_restrict_corner_avoidance_spot_check():
@@ -276,8 +284,8 @@ def test_restrict_corner_avoidance_spot_check():
 
 def test_validate_moduli_point():
     sol = md.solve_fiber(1.2, 0.8, 0.1)
-    m = md.ModuliPoint(1.2, 0.8, sol.h_list[0], 0.1)
-    assert m.validate(tol=1e-9)
+    f2, f3 = md.eval_F(1.2, 0.8, sol.h_list[0], 0.1)
+    assert max(abs(float(f2)), abs(float(f3))) <= 1e-9
 
 
 def test_taylor_gap_examples():

@@ -42,7 +42,7 @@ def test_exp_im_small_norm_branch():
     v = np.array([1e-10, 0, 0])
     q = qt.exp_im(v)
     assert abs(qt.norm(q) - 1) < 1e-15
-    assert np.allclose(qt.im(q), v, atol=1e-20)
+    assert np.allclose(q[1:], v, atol=1e-20)
 
 
 def test_exp_inverse():
@@ -62,11 +62,16 @@ def test_im_re_conj():
     assert abs(qt.re(qt.mul(b, qt.conj(qt.I))) - math.cos(g)) < 1e-14
 
 
+def rotate(g, q):
+    """Conjugation action g q g^-1 of a unit quaternion g."""
+    return qt.mul_chain(g, q, qt.conj(g))
+
+
 def test_rotate_cases():
-    assert np.allclose(qt.rotate(qt.I, qt.K), -qt.K)
-    assert np.allclose(qt.rotate(random_units(1)[0], qt.ONE), qt.ONE)
+    assert np.allclose(rotate(qt.I, qt.K), -qt.K)
+    assert np.allclose(rotate(random_units(1)[0], qt.ONE), qt.ONE)
     nu = 0.37
-    out = qt.rotate(qt.exp_i(nu), qt.J)
+    out = rotate(qt.quat(math.cos(nu), math.sin(nu), 0.0, 0.0), qt.J)
     assert np.allclose(out, math.cos(2 * nu) * qt.J + math.sin(2 * nu) * qt.K,
                        atol=1e-14)
 
@@ -88,10 +93,10 @@ def test_traceless_unit_squares_to_minus_one():
 def test_rotate_preserves_re_and_im_norm():
     g = random_units(10000, seed=5)
     q = np.random.default_rng(6).normal(size=(10000, 4))
-    out = qt.rotate(g, q)
+    out = rotate(g, q)
     assert np.max(np.abs(qt.re(out) - qt.re(q))) < 1e-12
-    n_in = np.linalg.norm(qt.im(q), axis=-1)
-    n_out = np.linalg.norm(qt.im(out), axis=-1)
+    n_in = np.linalg.norm(q[:, 1:], axis=-1)
+    n_out = np.linalg.norm(out[:, 1:], axis=-1)
     assert np.max(np.abs(n_in - n_out)) < 1e-11
 
 
