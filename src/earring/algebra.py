@@ -199,10 +199,6 @@ def mul_B(x, y, n_max=None):
     return Element(out, n_max)
 
 
-def identity_element(idem, n_max=N_MAX_DEFAULT):
-    return Element([ChordWord((), idem)], n_max)
-
-
 def central_element(n_max=N_MAX_DEFAULT):
     """H = D1 + D2 + S1S2 + S2S1, central up to truncation."""
     return Element(["D1", "D2", "S1S2", "S2S1"], n_max)

@@ -5,9 +5,10 @@ inside the gauge-fixed moduli space: the solution set of { H1 = 0, H2 = 0 }
 over the curve, in the unknowns u, arclength on the curve's constraint lift
 (so that the base point (gamma, theta) = lift(u) lies on the curve), and h,
 stepped in two sphere coordinates.  It is pushed through the inner
-restriction.  Away from the corners the set is two sheets over the curve,
-swept by one batched fiber solve; pseudo-arclength continuation, one point
-at a time in Python numbers, only bridges the folds near the corners.
+restriction.  Away from the corners the set is two sheets over the curve
+near the s = 0 sections sigma_+-, swept by one batched fiber solve started
+at those sections (md.section_fibers); pseudo-arclength continuation, one
+point at a time in Python numbers, only bridges the folds near the corners.
 model_map_vdelta applies the explicit local Dehn-twist model instead:
 doubling away from the corner disks and one full twist per corner disk.
 """
@@ -212,8 +213,9 @@ def trace_component(system, y0, skip=None):
     the traversal direction.  Before each step skip(y, tangent, start) may
     return samples (U, H) ahead of y on the component, taken as they are, and
     whether they end at the start (which closes the trace).  Returns arrays
-    (G, T, H) of the samples, closed by repeating the first, and a mask of
-    those from skip (the first is one when the trace leaves it by skip).
+    (U, G, T, H) of the samples, (G, T) = lift(U), closed by repeating the
+    first, and a mask of those from skip (the first is one when the trace
+    leaves it by skip).
     """
     lift = system.lift
     y, res, jac, frame = _corrector(system, (float(y0[0]), tuple(map(float, y0[1]))))
@@ -258,8 +260,9 @@ def trace_component(system, y0, skip=None):
         raise ContinuationStall(f"no closure after {MAX_STEPS} steps")
     samples.append(samples[0])
     swept.append(swept[0])
-    G, T = np.array([lift.at(y[0])[:2] for y in samples]).T
-    return G, T, np.array([y[1] for y in samples]), np.array(swept)
+    U = np.array([y[0] for y in samples])
+    G, T = np.array([lift.at(u)[:2] for u in U.tolist()]).T
+    return U, G, T, np.array([y[1] for y in samples]), np.array(swept)
 
 
 def _push_component(G, T, H, swept, s):
@@ -309,56 +312,30 @@ def _inner_canonical(gamma, theta, h, s):
     return cv.to_canonical(np.stack([g1, t1 % TWO_PI], axis=-1))
 
 
-def _fiber_at(g, t, s, branch):
-    """Fiber points over the base points (g[k], t[k]), continued from s = 0.
-
-    Row k starts at the section sigma_+ (branch[k] > 0) or sigma_- and is
-    carried to s through the stages 0.05, 0.1, 0.15 below |s| and then |s|
-    itself, with one batched newton_fiber call per stage for all rows.
-    Returns (h, ok): h is (n, 3), and ok[k] says that every stage of row k
-    converged (h[k] is meaningless otherwise).
-    """
-    g = np.asarray(g, dtype=float)
-    t = np.asarray(t, dtype=float)
-    hp, hm = md.sigma_sections(g, t)
-    h = np.where(np.asarray(branch)[:, None] > 0, hp, hm)
-    ok = np.ones(len(g), dtype=bool)
-    for stage in [x for x in (0.05, 0.1, 0.15) if x < abs(s)] + [abs(s)]:
-        h, _, converged = md.newton_fiber(g, t, h, math.copysign(stage, s))
-        ok &= converged
-    return h, ok
-
-
 def _seed_rows(g, t, s):
-    """Seeds far enough from the corners, each on both section branches.
-
-    Returns (rows, branch): indices into g, t in seed-major order with the
-    branches +1, -1 alternating.
-    """
-    far = np.flatnonzero(pc.corner_dist(g, t) >= max(0.05, 2.5 * s))
-    return np.repeat(far, 2), np.tile([1, -1], len(far))
+    """Indices of the base points (g, t) far enough from the corners to seed."""
+    return np.flatnonzero(pc.corner_dist(g, t) >= max(0.05, 2.5 * s))
 
 
 def _sweep(lift, s, mirrored):
     """Both fiber branches over the rows of a closed constraint lift.
 
     The rows far from the corners (_seed_rows) are solved on both branches
-    by one batched _fiber_at call.  On a doubled arc (mirrored) row m - r is
-    the involution image of row r on the same branch, so only rows up to
-    m / 2 are solved.  A row is regular when both branches converged, lie at
-    least SWEEP_SEP_MIN apart, and the step to the next row, |d(gamma,
-    theta)| combined with the larger |dh| of the two branches, is at most
-    STEP_MAX, the longest continuation step.  Returns H (m, 2, 3), ok (m, 2)
+    by one md.section_fibers call, straight at s from the s = 0 sections.
+    On a doubled arc (mirrored) row m - r is the involution image of row r
+    on the same branch, so only rows up to m / 2 are solved.  A row is
+    regular when both branches converged, lie at least SWEEP_SEP_MIN apart,
+    and the step to the next row, |d(gamma, theta)| combined with the larger
+    |dh| of the two branches, is at most STEP_MAX, the longest continuation
+    step.  Returns H (m, 2, 3), ok (m, 2)
     and the regular rows (m,); _Lift unrolls them over the lift's period.
     """
     m = len(lift) - 1
     half = m // 2 + 1 if mirrored else m
-    rows, branch = _seed_rows(lift[:half, 0], lift[:half, 1], s)
-    h, converged = _fiber_at(lift[rows, 0], lift[rows, 1], s, branch)
+    rows = _seed_rows(lift[:half, 0], lift[:half, 1], s)
     H = np.full((m, 2, 3), np.nan)
-    H[rows[::2]] = h.reshape(-1, 2, 3)
     ok = np.zeros((m, 2), dtype=bool)
-    ok[rows[::2]] = converged.reshape(-1, 2)
+    H[rows], _, ok[rows] = md.section_fibers(lift[rows, 0], lift[rows, 1], s)
     H[half:], ok[half:] = H[m - half:0:-1] * md._IOTA_H, ok[m - half:0:-1]
     dh = np.max(np.linalg.norm(np.roll(H, -1, axis=0) - H, axis=-1), axis=-1)
     step = np.hypot(np.linalg.norm(np.diff(lift, axis=0), axis=-1), dh)
@@ -399,23 +376,22 @@ def compose_curve(curve, s):
     homology figure eight supported near the arc.
 
     The curve is resampled at step min(0.02, length / 64) and both fiber
-    branches are swept over its constraint lift (_sweep).  Components are
-    sought from N_SEEDS rows at arclength fractions 0.08 ... 0.92, on both
-    branches, skipping seeds within 3 STEP_MAX of a found component or its
+    branches are swept over its constraint lift (_sweep), each solved
+    straight at s from its s = 0 section.  Components are sought from
+    N_SEEDS rows at arclength fractions 0.08 ... 0.92, on both branches,
+    skipping seeds within 3 STEP_MAX of a found component or its
     involution image.  Each is traced by continuation (trace_component),
     which takes the swept rows of each regular stretch it reaches as they
     are (_skip), so that continuation steps are left only in the fold
     windows near the corners.  A seed whose trace raises ContinuationStall
     (FoldUnresolved included) or NonTransverse is skipped.  Each component's
-    provenance marks its swept samples in "swept".
+    provenance marks its swept samples in "swept".  Every sample must lie
+    within 1e-6 of the input curve's constraint lift, else ContinuationStall.
     """
     if not (0 < s < math.pi / 4):
         raise ValueError("s must lie in (0, pi/4)")
     pts = cv.constraint_lift(curve.resampled(min(0.02, curve.length() / 64)))
     lift = _Lift(pts)
-    tiled = (np.concatenate([pts[:-1] - lift.disp, pts[:-1], pts + lift.disp], axis=0)
-             if np.linalg.norm(lift.disp) > 1e-9 else pts)
-    projector = cv.PolylineProjector(tiled, closed=True)
     system = _System(lift, s)
     seeds = np.searchsorted(lift.cum, np.linspace(0.08, 0.92, N_SEEDS) * lift.period) % lift.m
     H, ok, reg = _sweep(pts, s, curve.kind == "arc")
@@ -429,22 +405,27 @@ def compose_curve(curve, s):
                                for f in found):
             continue
         try:
-            *ys, swept = trace_component(system, (lift.cum[r], H[r, b]), skip)
+            U, *ys, swept = trace_component(system, (lift.cum[r], H[r, b]), skip)
         except (ContinuationStall, NonTransverse):
             continue
         comp, prov = _push_component(*ys, swept, s)
+        # definitional check: each traced sample lies at lift(U); the
+        # involution image closing a doubled component, moved by whole periods
+        # next to the sample before it, lies on one period of the lift
+        G, T = prov["gamma"], prov["theta"]
+        n = len(G) - prov["doubled_upstairs"]
+        off = [math.hypot(g - G[k], t - T[k])
+               for k, (g, t, *_) in enumerate(map(lift.at, U[:n].tolist()))]
+        if prov["doubled_upstairs"]:
+            x = np.array([G[n], T[n]]) - math.floor(U[n - 1] / lift.period) * np.asarray(lift.disp)
+            off.append(abs(cv.PolylineProjector(pts, closed=True).project(x)[0]))
+        if max(off) > 1e-6:
+            raise ContinuationStall(f"trace left the input curve by {max(off):.2e}")
         found.append(tuple(ys))
         components.append(comp)
         provenance.append(prov)
     if not components:
         raise ContinuationStall("no component could be traced from any seed")
-
-    # definitional check: the trace projects onto the input curve
-    for prov in provenance:
-        sd = projector.signed_distances(np.stack([prov["gamma"], prov["theta"]], axis=-1))
-        worst = float(np.max(np.abs(sd), initial=0.0))
-        if worst > 1e-6:
-            raise ContinuationStall(f"trace left the input curve by {worst:.2e}")
 
     return ComposedCurve(components, provenance, s, curve,
                          is_connected=len(components) == 1)
@@ -685,13 +666,14 @@ def count_generalized_points(arc0, arc1, s, details=False):
     """Count solutions of {arc0(t0) = r0(m), arc1(t1) = r1(m)} over moduli points m.
 
     Seeds are GP_N_SEEDS arclength fractions of arc0 away from the corners,
-    each on both section branches; their fiber points come from one batched
-    _fiber_at call and their t1 from the arc1 sample nearest to the inner
-    restriction.  All seeds then run together through the masked batched
-    Gauss-Newton _gauss_newton_gp on the joint 4-dimensional system.  A
-    seed that ends unconverged strictly inside both arcs raises
-    md.NoConvergence; one that ends unconverged at an arc end cannot be an
-    interior solution and is dropped.  Converged solutions strictly inside
+    each on both section branches; their fiber points come from one
+    md.section_fibers call, straight at s from the s = 0 sections, and
+    their t1 from the arc1 sample nearest to the inner restriction.  All
+    seeds then run together through the masked batched Gauss-Newton
+    _gauss_newton_gp on the joint 4-dimensional system.  A seed that ends
+    unconverged strictly inside both arcs raises md.NoConvergence; one that
+    ends unconverged at an arc end cannot be an interior solution and is
+    dropped.  Converged solutions strictly inside
     both arcs are merged in seed order (seed-major, branch +1 before -1)
     when their (t0, t1, h) keys lie within GP_MERGE_TOL = 1e-4 of each
     other, and every merged solution must have a last-step Jacobian whose
@@ -708,10 +690,10 @@ def count_generalized_points(arc0, arc1, s, details=False):
 
     t0 = np.linspace(0.06, 0.94, GP_N_SEEDS) * len0
     g, t = f0(t0)
-    rows, branch = _seed_rows(g, t, s)
-    t0, g, t = t0[rows], g[rows], t[rows]
-    h, ok = _fiber_at(g, t, s, branch)
-    t0, g, t, h = t0[ok], g[ok], t[ok], h[ok]
+    rows = _seed_rows(g, t, s)
+    h, _, ok = md.section_fibers(g[rows], t[rows], s)
+    t0, g, t = (np.repeat(x[rows], 2)[ok.ravel()] for x in (t0, g, t))
+    h = h[ok]
 
     # seed t1 at the arc1 sample nearest to the inner restriction, in row
     # blocks of at most 8192 distances: one full distance matrix raised the

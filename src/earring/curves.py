@@ -17,7 +17,6 @@ import numpy as np
 from . import pillowcase as pc
 from .pillowcase import TWO_PI
 
-STEP_MAX = 0.05
 EQ_QUANTUM = 1e-12  # to_canonical's snap width at the edges and the theta seam
 
 
@@ -90,9 +89,6 @@ class Curve:
 
     def length(self):
         return float(np.sum(self.seg_lengths()))
-
-    def check_spacing(self, step_max=STEP_MAX):
-        return float(np.max(self.seg_lengths())) < step_max
 
     def resampled(self, step):
         """Uniform arclength resampling preserving kind and endpoints."""
@@ -204,12 +200,6 @@ class PolylineProjector:
         x = np.asarray(x, dtype=float)[None]
         sd, u, normal = self._at(x, self._nearest(x))
         return float(sd[0]), float(u[0]), normal[0]
-
-    def signed_distances(self, xs):
-        """`project`'s signed distance at each row of xs (b, 2), in row blocks."""
-        step = max(1, (1 << 16) // len(self.len))
-        return np.concatenate([self._at(x, self._nearest(x))[0]
-                               for x in np.split(xs, np.arange(step, len(xs), step))])
 
     def _nearest(self, x):
         """The segment nearest to each row of x (b, 2)."""

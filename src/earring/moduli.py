@@ -45,7 +45,6 @@ CS_STEP = 1e-30        # complex-step size
 SWEEP_GRID = (200, 100)  # fiber_sweep's sphere grid (azimuth, polar)
 FIBER_MERGE_TOL = 1e-6
 FIBER_CORNER_DELTA = 0.05  # solve_fiber refuses base points closer to a corner
-CORNER_GAP_STEP = 1e-5  # corner_system_gap's first tau grid
 
 _AXES = np.eye(3)
 _AXES_T = tuple(map(tuple, _AXES.tolist()))
@@ -305,6 +304,18 @@ def fiber_sweep(gamma, theta, s):
     return _merge(h[ok], r[ok], tol=1e-4)
 
 
+def section_fibers(gamma, theta, s):
+    """Fiber points of both branches over flat arrays of base points.
+
+    Newton starts at the s = 0 sections sigma_+ and sigma_- and solves
+    straight at s, one batched newton_fiber run per section.  Returns h
+    (n, 2, 3), residuals (n, 2) and the converged mask (n, 2), branch +
+    before -; h[k, b] is meaningless where ok[k, b] is False.
+    """
+    runs = [newton_fiber(gamma, theta, seed, s) for seed in sigma_sections(gamma, theta)]
+    return tuple(np.stack(x, axis=1) for x in zip(*runs))
+
+
 def solve_fiber(gamma, theta, s):
     """All zeros of eval_H(gamma, theta, ., s) on the traceless 2-sphere.
 
@@ -318,11 +329,7 @@ def solve_fiber(gamma, theta, s):
         raise SeedDegenerate(f"base point ({gamma:.4f}, {theta:.4f}) is within "
                              f"{FIBER_CORNER_DELTA} of a corner")
 
-    hp, hm = sigma_sections(gamma, theta)
-    seeds = np.stack([hp, hm])
-    g = np.full(2, float(gamma))
-    t = np.full(2, float(theta))
-    h, res, ok = newton_fiber(g, t, seeds, s)
+    h, res, ok = (x[0] for x in section_fibers([gamma], [theta], s))
     if not np.all(ok):
         raise NoConvergence(
             f"Newton stalled at ({gamma:.4f}, {theta:.4f}), s={s}: residuals {res}")
@@ -373,20 +380,15 @@ def sample_grid(delta=0.2, n=50):
 
 
 def solve_fiber_grid(gammas, thetas, s):
-    """Batched two-seed fiber solve over flat arrays of base points.
+    """section_fibers over flat arrays of base points, every row converged.
 
-    Returns (h_plus, h_minus, res_plus, res_minus) with one Newton run per
-    section seed; callers aggregate counts after merging per point.
+    Returns (h_plus, h_minus, res_plus, res_minus); raises NoConvergence if
+    any row of either branch fails.
     """
-    gammas = np.asarray(gammas, dtype=float)
-    thetas = np.asarray(thetas, dtype=float)
-    hp, hm = sigma_sections(gammas, thetas)
-    h1, r1, ok1 = newton_fiber(gammas, thetas, hp, s)
-    h2, r2, ok2 = newton_fiber(gammas, thetas, hm, s)
-    if not (np.all(ok1) and np.all(ok2)):
-        n_bad = int(np.sum(~ok1) + np.sum(~ok2))
-        raise NoConvergence(f"{n_bad} fiber solves failed over the grid")
-    return h1, h2, r1, r2
+    h, res, ok = section_fibers(gammas, thetas, s)
+    if not np.all(ok):
+        raise NoConvergence(f"{np.count_nonzero(~ok)} fiber solves failed over the grid")
+    return h[:, 0], h[:, 1], res[:, 0], res[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -436,24 +438,13 @@ def corner_residuals(tau, s):
 def corner_system_gap(s):
     """min over tau in [0, pi] of max(|tau - s sin tau - pi/2|, |tau + s sin tau - pi/2|).
 
-    Strictly positive for 0 < |s| < pi/4: the two corner equations have no
-    common solution, so the restriction cannot hit a corner.
+    The objective is |tau - pi/2| + |s| |sin tau|.  With x = tau - pi/2,
+    so |x| <= pi/2 and sin tau = cos x >= 1 - x^2 / 2, it is at least
+    |x| + |s| (1 - x^2 / 2) = |s| + |x| (1 - |s| |x| / 2) >= |s| for
+    |s| < pi/4, with equality at tau = pi/2.  So the gap is |s|: strictly
+    positive for 0 < |s| < pi/4, where the two corner equations have no
+    common solution and the restriction cannot hit a corner.
     """
-    tau = np.arange(0.0, math.pi + CORNER_GAP_STEP, CORNER_GAP_STEP)
-    r1, r2 = corner_residuals(tau, s)
-    worst = np.maximum(r1, r2)
-    k = int(np.argmin(worst))
-    # iterative grid refinement (the objective has a kink at the minimizer)
-    lo = max(0.0, tau[k] - 2 * CORNER_GAP_STEP)
-    hi = min(math.pi, tau[k] + 2 * CORNER_GAP_STEP)
-    best = float(worst[k])
-    for _ in range(4):
-        fine = np.linspace(lo, hi, 1001)
-        f1, f2 = corner_residuals(fine, s)
-        w = np.maximum(f1, f2)
-        j = int(np.argmin(w))
-        best = min(best, float(w[j]))
-        span = (hi - lo) / 1000
-        lo = max(0.0, fine[j] - 2 * span)
-        hi = min(math.pi, fine[j] + 2 * span)
-    return best
+    if abs(s) >= math.pi / 4:
+        raise ValueError(f"|s| = {abs(s):.3f} outside the admissible range [0, pi/4)")
+    return abs(s)

@@ -20,9 +20,6 @@ import operator
 import numpy as np
 
 I = np.array([0.0, 1.0, 0.0, 0.0])
-J = np.array([0.0, 0.0, 1.0, 0.0])
-K = np.array([0.0, 0.0, 0.0, 1.0])
-ONE = np.array([1.0, 0.0, 0.0, 0.0])
 
 RENORM_CHAIN = 16       # renormalize unit quaternions after > 16 products
 
@@ -113,10 +110,3 @@ def exp_im(v):
     """Exponential of a purely imaginary quaternion (an (..., 3) vector)."""
     v = np.asarray(v, dtype=np.result_type(v, 1.0))
     return quat(*exp_im_parts(v[..., 0], v[..., 1], v[..., 2]))
-
-
-def exp_k(angle):
-    """e^{angle * k}, broadcasting over the input shape."""
-    angle = np.asarray(angle, dtype=np.result_type(angle, 1.0))
-    zero = np.zeros_like(angle)
-    return quat(np.cos(angle), zero, zero, np.sin(angle))

@@ -17,6 +17,10 @@ def E(text):
     return al.Element.parse(text)
 
 
+def identity_element(idem, n_max=al.N_MAX_DEFAULT):
+    return al.Element([al.ChordWord((), idem)], n_max)
+
+
 def t3_complex():
     return al.TwistedComplex([O, D, D, D],
                              {(0, 1): "S1", (1, 2): "D1", (2, 3): "S2S1"})
@@ -26,7 +30,7 @@ def test_mul_examples():
     assert str(al.mul_B(E("S1"), E("S2"))) == "S1S2"
     assert al.mul_B(E("D2"), E("S1")).is_zero()
     assert al.mul_B(E("S1"), E("D1")).is_zero()
-    assert str(al.mul_B(al.identity_element(O), E("D2"))) == "D2"
+    assert str(al.mul_B(identity_element(O), E("D2"))) == "D2"
     assert str(al.mul_B(E("D1"), E("D1"))) == "D1D1"
     assert al.mul_B(E("S1"), E("S1")).is_zero()
 

@@ -158,21 +158,20 @@ def test_determinism():
         assert np.array_equal(ca.samples, cb.samples)
 
 
-def test_fiber_at_batch_rows_are_independent():
+def test_section_fibers_batch_rows_are_independent():
     rng = np.random.default_rng(3)
     g = np.concatenate([rng.uniform(0.3, PI - 0.3, 7), [0.12, PI / 2]])
     t = np.concatenate([rng.uniform(0.0, 2 * PI, 7), [0.05, 0.0]])
-    branch = np.array([1, -1, 1, 1, -1, -1, 1, -1, 1])
     for s in (0.05, 0.19):
-        h, ok = co._fiber_at(g, t, s, branch)
+        h, _, ok = md.section_fibers(g, t, s)
         # (0.12, 0.05) lies near a corner: its solve fails at s = 0.19
-        assert ok[:7].all() and ok[8] and ok[7] == (s < 0.1)
+        assert ok[:7].all() and ok[8].all() and (ok[7] == (s < 0.1)).all()
         for k in range(len(g)):
-            hk, okk = co._fiber_at(g[k:k + 1], t[k:k + 1], s, branch[k:k + 1])
-            assert okk[0] == ok[k]
-            if ok[k]:
-                assert np.max(np.abs(hk[0] - h[k])) < 1e-12
-                h1, h2 = md.eval_H(g[k], t[k], h[k], s)
+            hk, _, okk = md.section_fibers(g[k:k + 1], t[k:k + 1], s)
+            assert (okk[0] == ok[k]).all()
+            for b in np.flatnonzero(ok[k]):
+                assert np.max(np.abs(hk[0, b] - h[k, b])) < 1e-12
+                h1, h2 = md.eval_H(g[k], t[k], h[k, b], s)
                 assert max(abs(h1), abs(h2)) < 1e-10
 
 
@@ -211,10 +210,9 @@ def test_stalled_interior_seed_raises(monkeypatch):
 def test_corrector_returns_its_final_evaluation():
     L = cv.circle_loop((PI / 2, PI / 2), 0.5, n=129)
     system = co._System(co._Lift(L.samples), 0.05)
-    h, ok = co._fiber_at(np.array([PI / 2 + 0.5]), np.array([PI / 2]), 0.05,
-                         np.array([1]))
-    assert ok[0]
-    y0 = (2e-3, tuple((h[0] + [0.0, 1e-3, -1e-3]).tolist()))
+    h, _, ok = md.section_fibers([PI / 2 + 0.5], [PI / 2], 0.05)
+    assert ok[0, 0]
+    y0 = (2e-3, tuple((h[0, 0] + [0.0, 1e-3, -1e-3]).tolist()))
     y, res, jac, frame = co._corrector(system, y0)
     assert max(map(abs, res)) < 1e-10
     tan = co._tangent(jac, frame)
@@ -250,10 +248,10 @@ def _continuation_components(loop, s):
     system = co._System(lift, s)
     k = len(fine) // 3
     g, t = fine.samples[k]
-    h, ok = co._fiber_at(np.array([g, g]), np.array([t, t]), s, np.array([1, -1]))
+    h, _, ok = md.section_fibers([g], [t], s)
     comps = []
     for hk in h[ok]:
-        *ys, swept = co.trace_component(system, (lift.cum[k], hk))
+        _, *ys, swept = co.trace_component(system, (lift.cum[k], hk))
         assert not swept.any()
         if all(np.min(co._ydist((g, t, hk), f[:3])) >= 3 * co.STEP_MAX for f in comps):
             comps.append((*ys, swept))
@@ -324,6 +322,28 @@ def test_unresolved_fold_skips_only_its_seed(monkeypatch, end):
     monkeypatch.setattr(co, "trace_component", first_seed_folds)
     assert co.compose_curve(arc, 0.19).component_count() == want
     assert len(calls) > 1
+
+
+@pytest.mark.parametrize("index", [3, -1])
+def test_closing_check_fires_on_a_sample_off_the_curve(monkeypatch, index):
+    # a traced sample, or the involution image that closes a doubled
+    # component (its last sample), moved radially off a corner circle
+    loop = cv.corner_circle(1, 0.6)
+    push = co._push_component
+
+    def moved(*args):
+        comp, prov = push(*args)
+        assert prov["doubled_upstairs"]
+        p = np.array([prov["gamma"][index], prov["theta"][index]])
+        r = p - np.round(p / PI) * PI
+        prov["gamma"] = prov["gamma"].copy()
+        prov["theta"] = prov["theta"].copy()
+        prov["gamma"][index], prov["theta"][index] = p + 1e-3 * r / np.linalg.norm(r)
+        return comp, prov
+
+    monkeypatch.setattr(co, "_push_component", moved)
+    with pytest.raises(co.ContinuationStall, match="left the input curve"):
+        co.compose_curve(loop, 0.19)
 
 
 def _circular_arc(end, height, n=129):

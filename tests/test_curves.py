@@ -10,10 +10,14 @@ from earring import curves as cv
 from earring import pillowcase as pc
 
 
+def check_spacing(curve, step_max):
+    return float(np.max(curve.seg_lengths())) < step_max
+
+
 def test_loop_closure_lattice():
     L = cv.circle_loop((1.5, 1.5), 0.4)
     assert L.closure == "lattice"
-    assert L.check_spacing(0.05)
+    assert check_spacing(L, 0.05)
 
 
 def test_loop_closure_iota():
@@ -38,7 +42,7 @@ def test_resample_preserves_ends():
     B = A.resampled(0.01)
     assert np.allclose(B.samples[0], A.samples[0])
     assert np.allclose(B.samples[-1], A.samples[-1])
-    assert B.check_spacing(0.011)
+    assert check_spacing(B, 0.011)
 
 
 def test_resample_keeps_end_after_short_last_segment():
@@ -174,20 +178,6 @@ def test_projector_signed_distance():
     sd2, _, _ = proj.project(np.array([1.0, -0.2]))
     assert abs(sd + sd2) < 1e-12  # opposite sides, opposite signs
 
-
-
-@pytest.mark.parametrize("closed", [True, False])
-def test_signed_distances_equal_project(closed):
-    # a wiggly polyline long enough that the points span several row blocks
-    ang = np.linspace(0.0, 2 * math.pi, 1200)
-    pts = np.stack([1.5 + (0.5 + 0.05 * np.sin(7 * ang)) * np.cos(ang),
-                    1.5 + 0.4 * np.sin(ang)], axis=-1)
-    proj = cv.PolylineProjector(pts, closed=closed)
-    rng = np.random.default_rng(3)
-    xs = pts[rng.integers(0, len(pts), 300)] + rng.normal(0.0, 0.02, (300, 2))
-    xs[:20] = pts[:20]            # on the vertices: blended tangents at joints
-    sd = proj.signed_distances(xs)
-    assert np.array_equal(sd, [proj.project(x)[0] for x in xs])
 
 def test_curve_json_roundtrip():
     A = cv.line_arc((0, 0), (math.pi, math.pi), n=9)

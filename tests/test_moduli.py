@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from earring import correspondence as co
@@ -10,6 +10,8 @@ from earring import curves as cv
 from earring import moduli as md
 from earring import pillowcase as pc
 from earring import quaternion as qt
+
+from quat_helpers import exp_k
 
 
 def _pure(h):
@@ -48,7 +50,7 @@ def test_eval_F_matches_corner_formula():
     # independent closed form at the corner from the corner-avoidance proof
     s = 0.19
     for tau in (0.3, 1.0, 2.4):
-        h4 = qt.mul(qt.exp_k(tau), qt.I)
+        h4 = qt.mul(exp_k(tau), qt.I)
         f2, f3 = md.eval_F(0.0, 0.0, h4[1:], s)
         assert float(f2) == pytest.approx(
             -math.sin(s) * math.cos(tau - s * math.sin(tau)), abs=1e-12)
@@ -127,8 +129,8 @@ def test_iota_hat_is_conjugation_by_i():
 def _chain(gamma, theta, h, s):
     """eval_F, eval_H and inner_invariants through the full quaternion chain."""
     h4 = _pure(h)
-    b = qt.mul(qt.exp_k(gamma), qt.I)
-    f = qt.mul(qt.exp_k(theta), qt.I)
+    b = qt.mul(exp_k(gamma), qt.I)
+    f = qt.mul(exp_k(theta), qt.I)
     p = qt.exp_im(s * qt.mul(b, h4)[..., 1:])
     q = qt.exp_im(s * qt.mul_chain(f, qt.conj(qt.I), h4)[..., 1:])
     core = qt.mul_chain(qt.conj(p), qt.I, qt.conj(f), q, f)
@@ -245,6 +247,41 @@ def test_solve_fiber_corner_raises():
         md.solve_fiber(1.0, 1.0, 1.0)
 
 
+def _staged_fibers(g, t, s):
+    """Both branches carried from the s = 0 sections to s through the stages
+    0.05, 0.1, 0.15 below |s| and then |s|, one batched newton_fiber run per
+    stage; ok[k, b] says that every stage of row k converged on branch b."""
+    h, ok = [], []
+    for seed in md.sigma_sections(g, t):
+        hb, okb = seed, np.ones(len(g), dtype=bool)
+        for stage in [x for x in (0.05, 0.1, 0.15) if x < abs(s)] + [abs(s)]:
+            hb, _, converged = md.newton_fiber(g, t, hb, math.copysign(stage, s))
+            okb &= converged
+        h.append(hb)
+        ok.append(okb)
+    return np.stack(h, axis=1), np.stack(ok, axis=1)
+
+
+@settings(max_examples=60)
+@given(st.floats(0.0, 0.5, exclude_min=True),
+       st.lists(st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi)),
+                min_size=1, max_size=8))
+def test_section_fibers_equal_staged_reference(s, points):
+    # at corner distance >= max(0.05, 2.5 s) the direct solve from the
+    # sections converges on the rows and branches where the staged one does,
+    # at the same points; the range of s stops at 0.5 because the two part
+    # ways on branch - from s = 0.6
+    g, t = np.array(points).T
+    far = pc.corner_dist(g, t) >= max(0.05, 2.5 * s)
+    assume(far.any())
+    g, t = g[far], t[far]
+    h, res, ok = md.section_fibers(g, t, s)
+    h_ref, ok_ref = _staged_fibers(g, t, s)
+    assert np.array_equal(ok, ok_ref)
+    assert np.max(np.abs(h - h_ref)[ok], initial=0.0) <= 1e-10
+    assert np.all(res[ok] <= md.NEWTON_ACCEPT)
+
+
 def test_fiber_freeness_margin():
     # every fiber solution stays away from +-i for s <= 0.19
     G, T = md.sample_grid(0.2, 12)
@@ -324,6 +361,12 @@ def test_corner_system_gap():
         k = int(np.argmin(worst))
         assert gap == pytest.approx(worst[k], abs=5e-5)
         assert gap > 0.9 * s * math.sin(tau[k])
+
+
+def test_corner_system_gap_outside_range_raises():
+    for s in (math.pi / 4, -math.pi / 4, 1.0):
+        with pytest.raises(ValueError):
+            md.corner_system_gap(s)
 
 
 def test_fiber_json():

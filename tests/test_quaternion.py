@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from earring import quaternion as qt
 
+from quat_helpers import J, K, ONE, exp_k
+
 finite = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
 
@@ -17,21 +19,21 @@ def random_units(n, seed=0):
 
 
 def test_defining_relations():
-    assert np.allclose(qt.mul(qt.I, qt.J), qt.K)
-    assert np.allclose(qt.mul(qt.I, qt.I), -qt.ONE)
-    assert np.allclose(qt.mul(qt.J, qt.K), qt.I)
+    assert np.allclose(qt.mul(qt.I, J), K)
+    assert np.allclose(qt.mul(qt.I, qt.I), -ONE)
+    assert np.allclose(qt.mul(J, K), qt.I)
 
 
 def test_exp_k_product_identity():
     g, t = 0.7, 1.1
-    b = qt.mul(qt.exp_k(g), qt.I)
-    f = qt.mul(qt.exp_k(t), qt.I)
-    assert np.allclose(qt.mul(b, f), -qt.exp_k(g - t), atol=1e-14)
+    b = qt.mul(exp_k(g), qt.I)
+    f = qt.mul(exp_k(t), qt.I)
+    assert np.allclose(qt.mul(b, f), -exp_k(g - t), atol=1e-14)
 
 
 def test_exp_im_cases():
-    assert np.allclose(qt.exp_im(np.zeros(3)), qt.ONE)
-    assert np.allclose(qt.exp_im(np.array([0, 0, math.pi / 2])), qt.K, atol=1e-15)
+    assert np.allclose(qt.exp_im(np.zeros(3)), ONE)
+    assert np.allclose(qt.exp_im(np.array([0, 0, math.pi / 2])), K, atol=1e-15)
     v = np.array([0.3, -0.4, 0.5])
     v /= np.linalg.norm(v)
     s = 0.37
@@ -49,7 +51,7 @@ def test_exp_inverse():
     rng = np.random.default_rng(1)
     v = rng.normal(size=(100, 3))
     prod = qt.mul(qt.exp_im(v), qt.exp_im(-v))
-    assert np.max(np.abs(prod - qt.ONE)) < 1e-12
+    assert np.max(np.abs(prod - ONE)) < 1e-12
 
 
 def test_im_re_conj():
@@ -58,7 +60,7 @@ def test_im_re_conj():
     assert np.allclose(qt.conj(qt.I), -qt.I)
     # re(e^{gamma k} i conj(i)) = cos gamma
     g = 0.83
-    b = qt.mul(qt.exp_k(g), qt.I)
+    b = qt.mul(exp_k(g), qt.I)
     assert abs(qt.re(qt.mul(b, qt.conj(qt.I))) - math.cos(g)) < 1e-14
 
 
@@ -68,11 +70,11 @@ def rotate(g, q):
 
 
 def test_rotate_cases():
-    assert np.allclose(rotate(qt.I, qt.K), -qt.K)
-    assert np.allclose(rotate(random_units(1)[0], qt.ONE), qt.ONE)
+    assert np.allclose(rotate(qt.I, K), -K)
+    assert np.allclose(rotate(random_units(1)[0], ONE), ONE)
     nu = 0.37
-    out = rotate(qt.quat(math.cos(nu), math.sin(nu), 0.0, 0.0), qt.J)
-    assert np.allclose(out, math.cos(2 * nu) * qt.J + math.sin(2 * nu) * qt.K,
+    out = rotate(qt.quat(math.cos(nu), math.sin(nu), 0.0, 0.0), J)
+    assert np.allclose(out, math.cos(2 * nu) * J + math.sin(2 * nu) * K,
                        atol=1e-14)
 
 
@@ -87,7 +89,7 @@ def test_traceless_unit_squares_to_minus_one():
     h[:, 0] = 0.0
     h = qt.normalize(h)
     sq = qt.mul(h, h)
-    assert np.max(np.abs(sq + qt.ONE)) < 1e-11
+    assert np.max(np.abs(sq + ONE)) < 1e-11
 
 
 def test_rotate_preserves_re_and_im_norm():
@@ -115,7 +117,7 @@ def test_mul_norm_multiplicative_hypothesis(a, b):
 def test_exp_conj_inverse_hypothesis(v):
     v = np.array(v)
     q = qt.exp_im(v)
-    assert np.max(np.abs(qt.mul(q, qt.conj(q)) - qt.ONE)) < 1e-9
+    assert np.max(np.abs(qt.mul(q, qt.conj(q)) - ONE)) < 1e-9
 
 
 @settings(max_examples=200)
