@@ -596,7 +596,7 @@ def _arc_interp(lift):
 
 
 def _gp_residual(f0, f1, t0, t1, h, s):
-    """Residuals (..., 5) of {arc0(t0) = r0(m), arc1(t1) = r1(m)}.
+    """The 5 residual components of {arc0(t0) = r0(m), arc1(t1) = r1(m)}.
 
     The inner point is matched in the cubic-surface embedding, which is an
     immersion along the pillowcase edges (plain (gamma, theta) matching
@@ -606,60 +606,35 @@ def _gp_residual(f0, f1, t0, t1, h, s):
     h1, h2 = md.eval_H(g, t, h, s)
     cg, ct, cgt = md.inner_invariants(g, t, h, s)
     g1, t1v = f1(t1)
-    return np.stack([h1, h2, cg - np.cos(g1), ct - np.cos(t1v),
-                     cgt - np.cos(g1 - t1v)], axis=-1)
+    return h1, h2, cg - np.cos(g1), ct - np.cos(t1v), cgt - np.cos(g1 - t1v)
 
 
 def _gauss_newton_gp(f0, f1, t0, t1, h, s):
-    """Masked batched Gauss-Newton for generalized points, one row per seed.
+    """Batched Gauss-Newton for generalized points, one row per seed.
 
-    h is stepped in two tangent coordinates (u, v) and re-projected to the
-    unit sphere.  Each iteration evaluates, for the unconverged rows only,
-    the residual and its four complex-step Jacobian columns (t0, t1, u, v)
-    stacked on a leading axis of length 5, then solves every 5 x 4
-    least-squares step by one batched SVD.  Steps are capped at
-    GP_STEP_CAP in their largest component; rows whose residual drops below
-    GP_CONVERGED are frozen.  Returns (t0, t1, h, ok, sv) where sv is the
-    smallest singular value of each row's last step Jacobian (nan if the
-    row took no step).
+    md.sphere_newton in x = (t0, t1) and h on _gp_residual, with the 5 x 4
+    least-squares step by a batched SVD (lstsq cutoff) capped at GP_STEP_CAP
+    in its largest component.  Returns (t0, t1, h, ok, sv), sv the smallest
+    singular value of each row's last step Jacobian (nan if it took no step).
     """
-    t0 = np.array(t0, dtype=float)
-    t1 = np.array(t1, dtype=float)
-    h = np.array(h, dtype=float)
-    ok = np.zeros(len(t0), dtype=bool)
     sv = np.full(len(t0), np.nan)
-    live = np.arange(len(t0))
-    eps = md.CS_STEP
-    for _ in range(GP_MAX_ITER):
-        a, b, hh = t0[live], t1[live], h[live]
-        e1, e2 = md._tangent_frame(hh)
-        r = _gp_residual(f0, f1,
-                         np.stack([a, a + 1j * eps, a, a, a]),
-                         np.stack([b, b, b + 1j * eps, b, b]),
-                         np.stack([hh, hh, hh, qt.normalize(hh + 1j * eps * e1),
-                                   qt.normalize(hh + 1j * eps * e2)]), s)
-        res = r[0].real
-        jac = np.moveaxis(r[1:].imag, 0, -1) / eps            # (n, 5, 4)
-        done = np.max(np.abs(res), axis=-1) < GP_CONVERGED
-        ok[live[done]] = True
-        # converged rows freeze; non-finite rows cannot step and stay unconverged
-        step = ~done & np.isfinite(r).all(axis=(0, 2))
-        live, res, jac = live[step], res[step], jac[step]
-        a, b, hh, e1, e2 = a[step], b[step], hh[step], e1[step], e2[step]
-        if not len(live):
-            break
+
+    def capped_lstsq_step(rows, f, jac, trial):
+        jac = np.transpose(np.stack(jac), (2, 0, 1))              # (n, 5, 4)
         u, sing, vt = np.linalg.svd(jac, full_matrices=False)
-        sv[live] = sing[:, -1]
+        sv[rows] = sing[:, -1]
         cutoff = np.finfo(float).eps * max(jac.shape[1:]) * sing[:, :1]
         with np.errstate(divide="ignore"):
             inv = np.where(sing > cutoff, 1.0 / sing, 0.0)
+        res = np.stack(f, axis=-1)
         delta = -np.einsum("nki,nk->ni", vt, inv * np.einsum("nji,nj->ni", u, res))
         big = np.max(np.abs(delta), axis=-1, keepdims=True)
-        delta *= GP_STEP_CAP / np.maximum(big, GP_STEP_CAP)
-        t0[live] = a + delta[:, 0]
-        t1[live] = b + delta[:, 1]
-        h[live] = qt.normalize(hh + delta[:, 2:3] * e1 + delta[:, 3:4] * e2)
-    return t0, t1, h, ok, sv
+        return (delta * (GP_STEP_CAP / np.maximum(big, GP_STEP_CAP))).T, None
+
+    x, h, _, ok = md.sphere_newton(
+        lambda rows, x, h: _gp_residual(f0, f1, x[..., 0], x[..., 1], h, s),
+        np.stack([t0, t1], axis=-1), h, capped_lstsq_step, GP_MAX_ITER, GP_CONVERGED)
+    return x[:, 0], x[:, 1], h, ok, sv
 
 
 def count_generalized_points(arc0, arc1, s, details=False):
@@ -669,11 +644,11 @@ def count_generalized_points(arc0, arc1, s, details=False):
     each on both section branches; their fiber points come from one
     md.section_fibers call, straight at s from the s = 0 sections, and
     their t1 from the arc1 sample nearest to the inner restriction.  All
-    seeds then run together through the masked batched Gauss-Newton
-    _gauss_newton_gp on the joint 4-dimensional system.  A seed that ends
-    unconverged strictly inside both arcs raises md.NoConvergence; one that
-    ends unconverged at an arc end cannot be an interior solution and is
-    dropped.  Converged solutions strictly inside
+    seeds then run together through _gauss_newton_gp (md.sphere_newton with
+    the capped least-squares step) on the joint system in (t0, t1, h).  A
+    seed that ends unconverged strictly inside both arcs raises
+    md.NoConvergence; one that ends unconverged at an arc end cannot be an
+    interior solution and is dropped.  Converged solutions strictly inside
     both arcs are merged in seed order (seed-major, branch +1 before -1)
     when their (t0, t1, h) keys lie within GP_MERGE_TOL = 1e-4 of each
     other, and every merged solution must have a last-step Jacobian whose

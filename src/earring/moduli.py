@@ -161,7 +161,7 @@ def iota_hat(gamma, theta, h):
 
 
 # ---------------------------------------------------------------------------
-# Newton on the traceless 2-sphere
+# Newton on the traceless 2-sphere: sphere_newton, the one batched loop
 
 
 def _cross(a, b):
@@ -189,57 +189,83 @@ def _tangent_frame(h):
     return e1, _cross(h, e1)
 
 
-def _residual_norm(gamma, theta, h, s):
-    h1, h2 = eval_H(gamma, theta, h, s)
-    return np.maximum(np.abs(h1), np.abs(h2))
+def sphere_newton(residual, x, h, step, max_iter, tol):
+    """Masked batched Newton in (x, h) on R^k x S^2, one row per problem.
+
+    residual(rows, x, h) gives the m components (a sequence of arrays) of
+    the problems `rows` at x (..., len(rows), k), h (..., len(rows), 3).
+    Each Jacobian is one call for the live rows at the k + 2 points
+    x + i CS_STEP e_j, h + i CS_STEP e1, e2 (e1, e2 the tangent frame of h,
+    re-projected); its first point's real part is the value unless a real
+    call gave it: the first call, or step(rows, value, jac, trial) ->
+    (delta in (x, e1, e2), value where delta leads or None), trial(delta)
+    being that value.  Rows whose max-norm value is at most tol freeze;
+    non-finite rows stop.  Returns (x, h, max-norm value, converged mask).
+    """
+    x = np.array(x, dtype=float)
+    h = qt.normalize(np.asarray(h, dtype=float))
+    n, k = x.shape
+    live, res = np.arange(n), np.full(n, np.nan)
+    value = residual(live, x, h)
+    for taken in range(max_iter + 1):
+        if value is not None:
+            res[live] = m = np.abs(value).max(axis=0)
+            live, value = live[m > tol], [v[m > tol] for v in value]
+            if taken == max_iter or not len(live):
+                break
+        xl, hl = x[live], h[live]
+        e1, e2 = _tangent_frame(hl)
+        hs = [hl] * k + [qt.normalize(hl + 1j * CS_STEP * e) for e in (e1, e2)]
+        r = residual(live, xl + 1j * CS_STEP * np.eye(k + 2, k)[:, None], np.stack(hs))
+        go = np.logical_and.reduce([np.isfinite(c).all(axis=0) for c in r])
+        if value is None:
+            value = [c[0].real for c in r]
+            res[live] = m = np.abs(value).max(axis=0)
+            go &= m > tol
+        if taken == max_iter or not go.any():
+            break
+        if not go.all():
+            live, xl, hl, e1, e2 = live[go], xl[go], hl[go], e1[go], e2[go]
+            r, value = [c[:, go] for c in r], [v[go] for v in value]
+
+        def moved(d):
+            return xl + np.transpose(d[:k]), qt.normalize(hl + d[k][:, None] * e1
+                                                          + d[k + 1][:, None] * e2)
+
+        d, value = step(live, value, [c.imag / CS_STEP for c in r],
+                        lambda d: residual(live, *moved(d)))
+        x[live], h[live] = moved(d)
+    return x, h, res, res <= tol
+
+
+def _damped_cramer_step(rows, f, jac, trial):
+    """The 2 x 2 Cramer-rule step, halved up to five times where the residual grows."""
+    (j11, j12), (j21, j22) = jac
+    det = j11 * j22 - j12 * j21
+    bad = np.abs(det) < 1e-300
+    det = np.where(bad, 1.0, det)
+    du = np.where(bad, 0.0, (-f[0] * j22 + f[1] * j12) / det)
+    dv = np.where(bad, 0.0, (-f[1] * j11 + f[0] * j21) / det)
+    res, scale = np.abs(f).max(axis=0), 1.0
+    for halvings in range(6):
+        d = scale * du, scale * dv
+        value = trial(d)
+        worse = np.abs(value).max(axis=0) > res
+        if halvings == 5 or not worse.any():
+            return d, value
+        scale = np.where(worse, scale * 0.5, scale)
 
 
 def newton_fiber(gamma, theta, h0, s):
     """Batched sphere-constrained Newton for eval_H(gamma, theta, . , s) = 0.
 
-    h is parameterized by two tangent coordinates at the current iterate and
-    re-projected to the unit sphere each step; damping 0.5 on residual
-    increase.  Returns (h, residual, converged_mask).
+    sphere_newton in h alone, one row per seed h0, with the damped 2 x 2
+    Cramer step.  Returns (h, residual max-norm, residual <= NEWTON_ACCEPT).
     """
-    gamma = np.asarray(gamma, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    h = qt.normalize(np.asarray(h0, dtype=float))
-
-    res = _residual_norm(gamma, theta, h, s)
-    for _ in range(NEWTON_MAX_ITER):
-        active = res > NEWTON_CONVERGED
-        if not np.any(active):
-            break
-        e1, e2 = _tangent_frame(h)
-
-        def hval(u, v):
-            return qt.normalize(h + u[..., None] * e1 + v[..., None] * e2)
-
-        zeros = np.zeros_like(res)
-        f1, f2 = eval_H(gamma, theta, h, s)
-        step = CS_STEP
-        g1u, g2u = eval_H(gamma, theta, hval(zeros + 1j * step, zeros), s)
-        g1v, g2v = eval_H(gamma, theta, hval(zeros, zeros + 1j * step), s)
-        j11, j21 = g1u.imag / step, g2u.imag / step
-        j12, j22 = g1v.imag / step, g2v.imag / step
-        det = j11 * j22 - j12 * j21
-        bad = np.abs(det) < 1e-300
-        det = np.where(bad, 1.0, det)
-        du = (-f1 * j22 + f2 * j12) / det
-        dv = (-f2 * j11 + f1 * j21) / det
-        du = np.where(bad, 0.0, du)
-        dv = np.where(bad, 0.0, dv)
-
-        # damped update on the active set
-        scale = np.where(active, 1.0, 0.0)
-        for _damp in range(6):
-            h_new = hval(scale * du, scale * dv)
-            res_new = _residual_norm(gamma, theta, h_new, s)
-            worse = active & (res_new > res) & (res > 0)
-            if not np.any(worse):
-                break
-            scale = np.where(worse, scale * 0.5, scale)
-        h, res = h_new, res_new
+    gamma, theta = (np.broadcast_to(np.asarray(x, dtype=float), len(h0)) for x in (gamma, theta))
+    _, h, res, _ = sphere_newton(lambda rows, x, h: eval_H(gamma[rows], theta[rows], h, s),
+                                 np.zeros((len(h0), 0)), h0, _damped_cramer_step,
+                                 NEWTON_MAX_ITER, NEWTON_CONVERGED)
     return h, res, res <= NEWTON_ACCEPT
 
 
@@ -296,7 +322,7 @@ def fiber_sweep(gamma, theta, s):
     hgrid = sphere_grid(*SWEEP_GRID)
     g = np.full(len(hgrid), float(gamma))
     t = np.full(len(hgrid), float(theta))
-    res = _residual_norm(g, t, hgrid, s)
+    res = np.abs(eval_H(g, t, hgrid, s)).max(axis=0)
     cut = res < max(0.05, 2.0 * np.percentile(res, 5))
     h, r, ok = newton_fiber(g[cut], t[cut], hgrid[cut], s)
     if not np.any(ok):

@@ -9,6 +9,7 @@ from earring import correspondence as co
 from earring import curves as cv
 from earring import moduli as md
 from earring import pillowcase as pc
+from earring import quaternion as qt
 from earring import topology as tp
 
 PI = math.pi
@@ -170,7 +171,7 @@ def test_section_fibers_batch_rows_are_independent():
             hk, _, okk = md.section_fibers(g[k:k + 1], t[k:k + 1], s)
             assert (okk[0] == ok[k]).all()
             for b in np.flatnonzero(ok[k]):
-                assert np.max(np.abs(hk[0, b] - h[k, b])) < 1e-12
+                assert np.array_equal(hk[0, b], h[k, b])
                 h1, h2 = md.eval_H(g[k], t[k], h[k, b], s)
                 assert max(abs(h1), abs(h2)) < 1e-10
 
@@ -205,6 +206,74 @@ def test_stalled_interior_seed_raises(monkeypatch):
     with pytest.raises(md.NoConvergence):
         co.count_generalized_points(
             cv.line_arc((0, 0), (PI, 0)), cv.line_arc((0, 0), (PI, PI)), 0.05)
+
+
+def _gauss_newton_gp_reference(f0, f1, t0, t1, h, s):
+    """The Gauss-Newton loop before md.sphere_newton: each iteration evaluates
+    the residual at the iterate and at its four complex-step points, five
+    points stacked, and the 60th step is taken without a check after it."""
+    t0, t1, h = (np.array(x, dtype=float) for x in (t0, t1, h))
+    ok = np.zeros(len(t0), dtype=bool)
+    sv = np.full(len(t0), np.nan)
+    live = np.arange(len(t0))
+    eps = md.CS_STEP
+    for _ in range(co.GP_MAX_ITER):
+        a, b, hh = t0[live], t1[live], h[live]
+        e1, e2 = md._tangent_frame(hh)
+        r = np.stack(co._gp_residual(
+            f0, f1, np.stack([a, a + 1j * eps, a, a, a]), np.stack([b, b, b + 1j * eps, b, b]),
+            np.stack([hh, hh, hh, qt.normalize(hh + 1j * eps * e1),
+                      qt.normalize(hh + 1j * eps * e2)]), s), axis=-1)
+        res = r[0].real
+        jac = np.moveaxis(r[1:].imag, 0, -1) / eps
+        done = np.max(np.abs(res), axis=-1) < co.GP_CONVERGED
+        ok[live[done]] = True
+        step = ~done & np.isfinite(r).all(axis=(0, 2))
+        live, res, jac = live[step], res[step], jac[step]
+        a, b, hh, e1, e2 = a[step], b[step], hh[step], e1[step], e2[step]
+        if not len(live):
+            break
+        u, sing, vt = np.linalg.svd(jac, full_matrices=False)
+        sv[live] = sing[:, -1]
+        cutoff = np.finfo(float).eps * max(jac.shape[1:]) * sing[:, :1]
+        with np.errstate(divide="ignore"):
+            inv = np.where(sing > cutoff, 1.0 / sing, 0.0)
+        delta = -np.einsum("nki,nk->ni", vt, inv * np.einsum("nji,nj->ni", u, res))
+        big = np.max(np.abs(delta), axis=-1, keepdims=True)
+        delta *= co.GP_STEP_CAP / np.maximum(big, co.GP_STEP_CAP)
+        t0[live] = a + delta[:, 0]
+        t1[live] = b + delta[:, 1]
+        h[live] = qt.normalize(hh + delta[:, 2:3] * e1 + delta[:, 3:4] * e2)
+    return t0, t1, h, ok, sv
+
+
+_BASIS = [((0, 0), (PI, 0)), ((0, 0), (PI, PI)), ((0, 0), (0, PI))]
+_PARTNERS = [((0, 0), (PI, -2 * PI)), ((0, 0), (PI, -PI)), ((0, 0), (2 * PI, PI))]
+# the nine pairs of cli.counting_matrix, row-major
+_COUNTING_PAIRS = [(_PARTNERS[1], _BASIS[1]) if i == j == 1 else
+                   (_BASIS[i], _PARTNERS[i]) if i == j else (_BASIS[i], _BASIS[j])
+                   for i in range(3) for j in range(3)]
+
+
+@pytest.mark.parametrize("s", [0.05, 0.19])
+@pytest.mark.parametrize("a, b", _COUNTING_PAIRS)
+def test_gauss_newton_gp_equals_reference(monkeypatch, a, b, s):
+    # the sphere_newton Gauss-Newton against the loop it replaced, on the
+    # seeds count_generalized_points builds: the same converged rows, at the
+    # same (t0, t1, h), with the same last-step singular values
+    core, runs = co._gauss_newton_gp, []
+
+    def both(*args):
+        out = core(*args)
+        runs.append((out, _gauss_newton_gp_reference(*args)))
+        return out
+
+    monkeypatch.setattr(co, "_gauss_newton_gp", both)
+    co.count_generalized_points(cv.line_arc(*a), cv.line_arc(*b), s)
+    (t0, t1, h, ok, sv), (t0r, t1r, hr, okr, svr) = runs[0]
+    assert np.array_equal(ok, okr) and ok.any()
+    for x, y in ((t0, t0r), (t1, t1r), (h, hr), (sv, svr)):
+        assert np.max(np.abs(x[ok] - y[ok])) <= 1e-12
 
 
 def test_corrector_returns_its_final_evaluation():
@@ -347,17 +416,40 @@ def test_closing_check_fires_on_a_sample_off_the_curve(monkeypatch, index):
 
 
 def _circular_arc(end, height, n=129):
-    """Arc of a circle from the corner (0, 0) to the corner end, bulging by height > 0."""
+    """Arc of a circle from the corner (0, 0) to the corner end, bulging by
+    |height| (below half the chord) to the left of the chord for height > 0;
+    a negative height gives the arc of height |height| reflected across the
+    chord."""
     a, b = np.zeros(2), np.asarray(end, dtype=float)
     half = np.linalg.norm(b - a) / 2
-    radius = (half * half + height * height) / (2 * height)
+    bulge = abs(height)
+    radius = (half * half + bulge * bulge) / (2 * bulge)
     normal = np.array([-(b - a)[1], (b - a)[0]]) / (2 * half)
-    centre = (a + b) / 2 - (radius - height) * normal
+    centre = (a + b) / 2 - (radius - bulge) * normal
     start, stop = (math.atan2(*(p - centre)[::-1]) for p in (a, b))
     ang = np.linspace(start, start + math.remainder(stop - start, 2 * PI), n)
     pts = centre + radius * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    if height < 0:
+        pts -= 2 * np.outer(pts @ normal, normal)
     pts[0], pts[-1] = a, b
     return cv.Curve("arc", pts)
+
+
+@pytest.mark.parametrize("s", [0.05, 0.19])
+@pytest.mark.parametrize("end", [(PI, 0), (0, PI)])
+def test_circular_arc_below_its_chord(end, s):
+    # a negative height mirrors the arc across its chord: both ends stay on
+    # the circle, which bulges to the other side, and the arc composes to one
+    # homology figure eight like the arc of positive height
+    up, down = _circular_arc(end, 0.6), _circular_arc(end, -0.6)
+    chord = np.asarray(end, dtype=float) / np.linalg.norm(end)
+    side = up.samples @ [-chord[1], chord[0]]
+    assert np.allclose(down.samples @ [-chord[1], chord[0]], -side, rtol=0, atol=1e-12)
+    assert np.allclose(down.samples @ chord, up.samples @ chord, rtol=0, atol=1e-12)
+    assert abs(np.min(-side) + 0.6) < 1e-3
+    out = co.compose_curve(down, s)
+    assert out.component_count() == 1
+    assert tp.classify_homology_fig8(out.components, down, s)["is_homology_fig8"]
 
 
 @pytest.mark.parametrize("end, height", [((PI, 0), 0.9), ((PI, PI), 0.6), ((0, PI), 1.2)])

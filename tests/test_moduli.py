@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from earring import correspondence as co
@@ -209,6 +209,82 @@ def test_newton_corrects_section_seed():
     assert ok.all() and res[0] < 1e-10
     sweep_h, _, _ = md.fiber_sweep(g, t, s)
     assert min(np.linalg.norm(h[0] - v) for v in sweep_h) < 1e-6
+
+
+def _newton_fiber_reference(gamma, theta, h0, s):
+    """The fiber Newton loop before md.sphere_newton: every row is evaluated
+    at every iteration, the value by a separate real evaluation.  Returns
+    (h, residual, converged mask, step halvings over all rows)."""
+    def res_norm(h):
+        h1, h2 = md.eval_H(gamma, theta, h, s)
+        return np.maximum(np.abs(h1), np.abs(h2))
+
+    h = qt.normalize(np.asarray(h0, dtype=float))
+    res, halvings = res_norm(h), 0
+    for _ in range(md.NEWTON_MAX_ITER):
+        active = res > md.NEWTON_CONVERGED
+        if not np.any(active):
+            break
+        e1, e2 = md._tangent_frame(h)
+
+        def hval(u, v):
+            return qt.normalize(h + u[..., None] * e1 + v[..., None] * e2)
+
+        zeros = np.zeros_like(res)
+        f1, f2 = md.eval_H(gamma, theta, h, s)
+        step = md.CS_STEP
+        g1u, g2u = md.eval_H(gamma, theta, hval(zeros + 1j * step, zeros), s)
+        g1v, g2v = md.eval_H(gamma, theta, hval(zeros, zeros + 1j * step), s)
+        j11, j21 = g1u.imag / step, g2u.imag / step
+        j12, j22 = g1v.imag / step, g2v.imag / step
+        det = j11 * j22 - j12 * j21
+        bad = np.abs(det) < 1e-300
+        det = np.where(bad, 1.0, det)
+        du = np.where(bad, 0.0, (-f1 * j22 + f2 * j12) / det)
+        dv = np.where(bad, 0.0, (-f2 * j11 + f1 * j21) / det)
+        scale = np.where(active, 1.0, 0.0)
+        for _damp in range(6):
+            h_new = hval(scale * du, scale * dv)
+            res_new = res_norm(h_new)
+            worse = active & (res_new > res) & (res > 0)
+            if not np.any(worse):
+                break
+            halvings += int(np.count_nonzero(worse)) if _damp < 5 else 0
+            scale = np.where(worse, scale * 0.5, scale)
+        h, res = h_new, res_new
+    return h, res, res <= md.NEWTON_ACCEPT, halvings
+
+
+_CORNER_XY = [(0.0, 0.0), (0.0, math.pi), (math.pi, 0.0), (math.pi, math.pi)]
+
+
+def test_newton_fiber_equals_reference():
+    # the sphere_newton fiber solve against the loop it replaced, both from
+    # the two sections, at base points 0.01-1.5 from a corner: the same
+    # converged rows at the same points, and the rows that do not converge
+    # bitwise where the loop left them (the arithmetic of a live row is
+    # unchanged; only converged rows freeze instead of being renormalised).
+    # Some examples damp: near a corner at any s, away from them from s = 0.5
+    halvings = []
+
+    @settings(max_examples=30)
+    @given(st.floats(0.0, 0.78, exclude_min=True),
+           st.lists(st.tuples(st.integers(0, 3), st.floats(0.01, 1.5),
+                              st.floats(0.0, 2 * math.pi)), min_size=1, max_size=6))
+    @example(0.3, [(0, 0.05, 0.7), (3, 0.02, 4.0), (1, 0.5, 2.0)])
+    def check(s, points):
+        g, t = np.array([np.add(_CORNER_XY[c], d * np.array([math.cos(a), math.sin(a)]))
+                         for c, d, a in points]).T
+        for seed in md.sigma_sections(g, t):
+            h, res, ok = md.newton_fiber(g, t, seed, s)
+            h_ref, res_ref, ok_ref, n = _newton_fiber_reference(g, t, seed, s)
+            assert np.array_equal(ok, ok_ref)
+            assert np.max(np.abs(h - h_ref)[ok], initial=0.0) <= 1e-12
+            assert np.array_equal(h[~ok], h_ref[~ok])
+            halvings.append(n)
+
+    check()
+    assert sum(halvings) > 0
 
 
 def test_solve_fiber_s0_two_sections():
