@@ -72,12 +72,15 @@ class SvgPlot:
         self.body = []
 
     def _xy(self, g, t):
+        """Picture coordinates of (gamma, theta): numbers or arrays."""
         x = self.margin + g / math.pi * (self.width - 2 * self.margin)
         y = self.height - self.margin - t / (2 * math.pi) * (self.height - 2 * self.margin)
         return x, y
 
     def polyline(self, samples, color, width):
-        pts = " ".join("%.3f,%.3f" % self._xy(g, t) for g, t in samples)
+        samples = np.asarray(samples, dtype=float)
+        x, y = self._xy(samples[:, 0], samples[:, 1])
+        pts = " ".join(map("%.3f,%.3f".__mod__, zip(x.tolist(), y.tolist())))
         self.body.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{width:.2f}"/>')
@@ -195,7 +198,7 @@ def _save_curves(prefix, curve, components, color, **extra):
         plot.curve_wrapped(comp, color, 2.2)
     plot.save(prefix + ".svg")
     with open(prefix + ".json", "w") as f:
-        json.dump({"components": [c.to_json() for c in components], **extra}, f)
+        f.write(json.dumps({"components": [c.to_json() for c in components], **extra}))
 
 
 def cmd_compose(cfg, args):

@@ -128,14 +128,14 @@ class _System:
         g, t, dg, dt, _ = self.lift.at(u)
         e1, e2 = md._tangent_frame(h)
         eps, s = md.CS_STEP, self.s
-        ce, (x, y, z), hu = 1j * eps, h, qt.normalize(h)
-        h1, h2 = md.eval_H(g, t, hu, s)
-        a1, a2 = md.eval_H(g + ce * dg, t + ce * dt, hu, s)
+        ce, (x, y, z) = 1j * eps, h
+        # the u-direction call's real part is the value (H1, H2) itself
+        a1, a2 = md.eval_H(g + ce * dg, t + ce * dt, qt.normalize(h), s)
         b1, b2 = md.eval_H(g, t, qt.normalize((x + ce * e1[0], y + ce * e1[1], z + ce * e1[2])), s)
         c1, c2 = md.eval_H(g, t, qt.normalize((x + ce * e2[0], y + ce * e2[1], z + ce * e2[2])), s)
         jac = ((a1.imag / eps, b1.imag / eps, c1.imag / eps),
                (a2.imag / eps, b2.imag / eps, c2.imag / eps))
-        return (h1, h2), jac, (e1, e2)
+        return (a1.real, a2.real), jac, (e1, e2)
 
 
 def _to_local(t4, frame):

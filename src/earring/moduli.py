@@ -199,7 +199,8 @@ def sphere_newton(residual, x, h, step, max_iter, tol):
     re-projected); its first point's real part is the value unless a real
     call gave it: the first call, or step(rows, value, jac, trial) ->
     (delta in (x, e1, e2), value where delta leads or None), trial(delta)
-    being that value.  Rows whose max-norm value is at most tol freeze;
+    being that value; a returned delta that was the last trial's keeps that
+    trial's point.  Rows whose max-norm value is at most tol freeze;
     non-finite rows stop.  Returns (x, h, max-norm value, converged mask).
     """
     x = np.array(x, dtype=float)
@@ -232,9 +233,14 @@ def sphere_newton(residual, x, h, step, max_iter, tol):
             return xl + np.transpose(d[:k]), qt.normalize(hl + d[k][:, None] * e1
                                                           + d[k + 1][:, None] * e2)
 
-        d, value = step(live, value, [c.imag / CS_STEP for c in r],
-                        lambda d: residual(live, *moved(d)))
-        x[live], h[live] = moved(d)
+        tried = []      # the step rule's latest trial: (delta, its point)
+
+        def trial(d):
+            tried[:] = d, moved(d)
+            return residual(live, *tried[1])
+
+        d, value = step(live, value, [c.imag / CS_STEP for c in r], trial)
+        x[live], h[live] = tried[1] if tried and tried[0] is d else moved(d)
     return x, h, res, res <= tol
 
 

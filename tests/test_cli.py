@@ -106,6 +106,51 @@ def test_curve_wrapped_equals_run_loop(curve, s):
     assert svgs[0].count("<polyline") > 1 + len(comps)
 
 
+class _PointLoopSvgPlot(cli.SvgPlot):
+    """SvgPlot with polyline's coordinates formatted one point at a time."""
+
+    def polyline(self, samples, color, width):
+        pts = " ".join("%.3f,%.3f" % self._xy(g, t) for g, t in samples)
+        self.body.append(
+            f'<polyline points="{pts}" fill="none" stroke="{color}" '
+            f'stroke-width="{width:.2f}"/>')
+
+
+def _save_curves_reference(prefix, curve, components, color, **extra):
+    """cli._save_curves with the pure-Python JSON encoder and per-point emitters."""
+    plot = _PointLoopSvgPlot()
+    plot.frame()
+    plot.curve_wrapped(curve, "#777777", 1.0)
+    for comp in components:
+        plot.curve_wrapped(comp, color, 2.2)
+    plot.save(prefix + ".svg")
+    records = [{"kind": c.kind, "samples": [[float(a), float(b)] for a, b in c.samples]}
+               for c in components]
+    with open(prefix + ".json", "w") as f:
+        json.dump({"components": records, **extra}, f)
+
+
+@pytest.mark.parametrize("curve, s", [(cv.line_arc((0, 0), (math.pi, 0), n=129), 0.19),
+                                      (cv.circle_loop((1.5, 2.0), 0.5), 0.05)])
+def test_compose_output_bytes_equal_reference_emitters(tmp_path, monkeypatch, capsys,
+                                                        curve, s):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(curve.to_json()))
+    save, saved = cli._save_curves, []
+
+    def recording(*args, **kw):
+        saved.append((args, kw))
+        return save(*args, **kw)
+
+    monkeypatch.setattr(cli, "_save_curves", recording)
+    assert run(["--s", repr(s), "compose", str(path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    (_, *args), kw = saved[0]
+    _save_curves_reference(str(tmp_path / "ref"), *args, **kw)
+    for ext in (".json", ".svg"):
+        assert (tmp_path / f"out{ext}").read_bytes() == (tmp_path / f"ref{ext}").read_bytes()
+
+
 def test_compose_arc_and_svg_stability(tmp_path, capsys):
     curve = tmp_path / "a0.json"
     curve.write_text(json.dumps(

@@ -292,6 +292,49 @@ def test_corrector_returns_its_final_evaluation():
         assert (res, jac, frame) == system.res_and_jac(*y)
 
 
+def _res_and_jac_four_calls(system, u, h):
+    """_System.res_and_jac with its value from a separate real eval_H call."""
+    g, t, dg, dt, _ = system.lift.at(u)
+    e1, e2 = md._tangent_frame(h)
+    eps, s = md.CS_STEP, system.s
+    ce, (x, y, z), hu = 1j * eps, h, qt.normalize(h)
+    h1, h2 = md.eval_H(g, t, hu, s)
+    a1, a2 = md.eval_H(g + ce * dg, t + ce * dt, hu, s)
+    b1, b2 = md.eval_H(g, t, qt.normalize((x + ce * e1[0], y + ce * e1[1], z + ce * e1[2])), s)
+    c1, c2 = md.eval_H(g, t, qt.normalize((x + ce * e2[0], y + ce * e2[1], z + ce * e2[2])), s)
+    jac = ((a1.imag / eps, b1.imag / eps, c1.imag / eps),
+           (a2.imag / eps, b2.imag / eps, c2.imag / eps))
+    return (h1, h2), jac, (e1, e2)
+
+
+@pytest.mark.parametrize("curve, s, sep", [
+    (cv.line_arc((0, 0), (PI, 0), n=129), 0.19, co.SWEEP_SEP_MIN),
+    (cv.line_arc((0, 0), (PI, PI), n=129), 0.19, co.SWEEP_SEP_MIN),
+    (cv.line_arc((PI, 0), (PI, PI), n=129), 0.19, co.SWEEP_SEP_MIN),
+    (cv.line_arc((0, 0), (PI, 0), n=129), 0.45, co.SWEEP_SEP_MIN),
+    (cv.circle_loop((1.5, 2.0), 0.5), 0.05, 10.0)])    # the loop unswept: traced whole
+def test_res_and_jac_equals_four_call_reference(monkeypatch, curve, s, sep):
+    # the value is the u-direction call's real part: equal to the real call's
+    # at every evaluation of whole traces (up to the sign of a zero), and the
+    # traced samples are bitwise the same
+    monkeypatch.setattr(co, "SWEEP_SEP_MIN", sep)
+    calls, res_and_jac = [], co._System.res_and_jac
+
+    def recording(system, u, h):
+        out = res_and_jac(system, u, h)
+        calls.append((system, u, h, out))
+        return out
+
+    monkeypatch.setattr(co._System, "res_and_jac", recording)
+    comps = co.compose_curve(curve, s).components
+    assert len(calls) > 50
+    for system, u, h, out in calls:
+        assert out == _res_and_jac_four_calls(system, u, h)
+    monkeypatch.setattr(co._System, "res_and_jac", _res_and_jac_four_calls)
+    ref = co.compose_curve(curve, s).components
+    assert [c.samples.tobytes() for c in comps] == [c.samples.tobytes() for c in ref]
+
+
 def test_vectorized_quotient_distance():
     # _ydist against sample arrays equals the distance to each sample, also
     # through the involution, where either argument may carry the image

@@ -1,5 +1,6 @@
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,58 @@ def test_unwrap_ties_at_corners_equal_loop(corner, step):
     for p in (path, np.concatenate([[[1.0, 1.0]], path])):
         canon = cv.to_canonical(p)
         assert np.max(np.abs(cv.unwrap_to_lift(canon) - _unwrap_by_loop(canon))) <= 1e-12
+
+
+def _min_dist_dense(query, samples):
+    """Reference for cv.min_dist_to_samples: the minimum over every sample."""
+    qg, qt = query[:, 0][:, None], query[:, 1][:, None]
+    sg, st_ = samples[:, 0][None, :], samples[:, 1][None, :]
+    return np.min(pc.dist_raw(qg, qt, sg, st_), axis=1)
+
+
+_special_point = st.one_of(
+    st.tuples(st.floats(-7, 7), st.floats(-7, 7)),
+    st.tuples(st.sampled_from([0.0, math.pi, -math.pi]), st.floats(0, 2 * math.pi)),
+    st.builds(lambda g, e: (g, 2 * math.pi - e), st.floats(0, math.pi),
+              st.floats(0, cv.EQ_QUANTUM)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 9, cv.NN_CHUNK, cv.NN_CHUNK + 1, 3 * cv.NN_CHUNK, 1000]),
+       st.sampled_from([0.01, 0.3, 3.0]), st.integers(0, 2 ** 32 - 1),
+       st.lists(_special_point, max_size=8), st.booleans())
+def test_min_dist_to_samples_equals_dense(n, step, seed, special, canonical):
+    # a random walk (a sampled curve when the step is small) with edge and
+    # seam points and duplicates planted; queries include the samples' iota
+    # images and lattice translates
+    rng = np.random.default_rng(seed)
+    cloud = rng.uniform(-7, 7, 2) + np.cumsum(rng.normal(scale=step, size=(n, 2)), axis=0)
+    if special:
+        cloud[rng.integers(0, n, len(special))] = special
+    cloud[rng.integers(0, n, 3)] = cloud[rng.integers(0, n, 3)]
+    if canonical:
+        cloud = cv.to_canonical(cloud)
+    pick = cloud[rng.integers(0, n, 20)]
+    query = np.concatenate([
+        np.array(special, dtype=float).reshape(-1, 2), pick, -pick,
+        pick + 2 * math.pi * rng.integers(-2, 3, (20, 2)),
+        cloud[rng.integers(0, n, 5)] + rng.normal(scale=0.05, size=(5, 2)),
+        rng.uniform(-7, 7, (20, 2))])
+    assert np.array_equal(cv.min_dist_to_samples(query, cloud), _min_dist_dense(query, cloud))
+    assert np.array_equal(cv.min_dist_to_samples(cloud, query), _min_dist_dense(cloud, query))
+
+
+@pytest.mark.parametrize("m, n", [(0, 5), (0, 40), (3, 0), (40, 0), (0, 0)])
+def test_min_dist_to_samples_on_empty_as_dense(m, n):
+    query, samples = np.ones((m, 2)), np.ones((n, 2))
+    try:
+        ref = _min_dist_dense(query, samples)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            cv.min_dist_to_samples(query, samples)
+    else:
+        out = cv.min_dist_to_samples(query, samples)
+        assert out.dtype == ref.dtype and out.shape == ref.shape
 
 
 def test_hausdorff_on_shifted_clouds():
