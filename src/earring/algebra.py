@@ -21,7 +21,7 @@ from . import curves as cv
 from .curves import Curve
 from .pillowcase import TWO_PI
 
-N_MAX_DEFAULT = 12
+N_MAX = 12          # products longer than N_MAX letters truncate to zero
 
 IDEM_CIRC = "o"     # a-circle:  right edge of the fundamental square
 IDEM_DOT = "*"      # a-bullet:  bottom edge
@@ -114,63 +114,45 @@ class ChordWord:
 
 
 def _composable(a, b):
-    """Letter b may follow letter a: target matches source and no dead pair."""
-    if _TARGET[a] != _SOURCE[b]:
-        return False
-    if a[0] == "D" and b[0] == "S":
-        return False
-    if a[0] == "S" and b[0] == "D":
-        return False
-    if a[0] == "S" and b[0] == "S" and a == b:
-        return False
-    if a[0] == "D" and b[0] == "D" and a != b:
-        return False
-    return True
+    """Letter b may follow letter a: target matches source, and no D S or S D."""
+    return _TARGET[a] == _SOURCE[b] and a[0] == b[0]
 
 
-def word_mul(w1, w2, n_max=N_MAX_DEFAULT):
+def word_mul(w1, w2):
     """Concatenation product of two basis words; None when it dies."""
     if w1.is_identity():
         return w2 if w2.source == w1.idem else None
     if w2.is_identity():
         return w1 if w1.target == w2.idem else None
-    if w1.target != w2.source:
-        return None
     if not _composable(w1.letters[-1], w2.letters[0]):
         return None
     letters = w1.letters + w2.letters
-    if len(letters) > n_max:
+    if len(letters) > N_MAX:
         return None
     return ChordWord(letters)
 
 
 class Element:
-    """F_2 linear combination of chord words, truncated at n_max letters."""
+    """F_2 linear combination of chord words; products truncate at N_MAX letters."""
 
-    def __init__(self, words=(), n_max=N_MAX_DEFAULT):
-        self.n_max = n_max
+    def __init__(self, words=()):
         ws = set()
         for w in words:
-            if isinstance(w, str):
-                w = ChordWord.parse(w)
-            if w in ws:
-                ws.discard(w)      # F_2 cancellation
-            else:
-                ws.add(w)
+            ws ^= {ChordWord.parse(w) if isinstance(w, str) else w}    # F_2 sum
         self.words = frozenset(ws)
 
     @staticmethod
-    def parse(text, n_max=N_MAX_DEFAULT):
+    def parse(text):
         text = text.strip()
         if text in ("0", ""):
-            return Element((), n_max)
-        return Element([p.strip() for p in text.split("+")], n_max)
+            return Element()
+        return Element([p.strip() for p in text.split("+")])
 
     def is_zero(self):
         return not self.words
 
     def __add__(self, other):
-        return Element(list(self.words) + list(other.words), self.n_max)
+        return Element(self.words ^ other.words)
 
     def __eq__(self, other):
         return self.words == other.words
@@ -187,31 +169,30 @@ class Element:
         return str(self)
 
 
-def mul_B(x, y, n_max=None):
+def mul_B(x, y):
     """Product in the quiver algebra: concatenate each word pair over F_2."""
-    n_max = n_max if n_max is not None else min(x.n_max, y.n_max)
     out = []
     for w1 in x.words:
         for w2 in y.words:
-            w = word_mul(w1, w2, n_max)
+            w = word_mul(w1, w2)
             if w is not None:
                 out.append(w)
-    return Element(out, n_max)
+    return Element(out)
 
 
-def central_element(n_max=N_MAX_DEFAULT):
+def central_element():
     """H = D1 + D2 + S1S2 + S2S1, central up to truncation."""
-    return Element(["D1", "D2", "S1S2", "S2S1"], n_max)
+    return Element(["D1", "D2", "S1S2", "S2S1"])
 
 
-def h_central_component(idem, n_max=N_MAX_DEFAULT):
+def h_central_component(idem):
     """The component of H at one idempotent: H id° = D2+S1S2, H id• = D1+S2S1."""
     if idem == IDEM_CIRC:
-        return Element(["D2", "S1S2"], n_max)
-    return Element(["D1", "S2S1"], n_max)
+        return Element(["D2", "S1S2"])
+    return Element(["D1", "S2S1"])
 
 
-def basis_words(max_len, n_max=N_MAX_DEFAULT):
+def basis_words(max_len):
     """All basis words of length <= max_len."""
     out = [ChordWord((), IDEM_CIRC), ChordWord((), IDEM_DOT)]
     frontier = [ChordWord((x,)) for x in ("S1", "S2", "D1", "D2")]
@@ -220,9 +201,8 @@ def basis_words(max_len, n_max=N_MAX_DEFAULT):
         new = []
         for w in frontier:
             for x in ("S1", "S2", "D1", "D2"):
-                ww = word_mul(w, ChordWord((x,)), n_max=max(max_len, n_max))
-                if ww is not None and len(ww) <= max_len:
-                    new.append(ww)
+                if _composable(w.letters[-1], x):
+                    new.append(ChordWord(w.letters + (x,)))
         out += new
         frontier = new
     return out
@@ -243,14 +223,13 @@ class TwistedComplex:
     idems: list                                   # idempotent per generator
     diff: dict = field(default_factory=dict)      # (i, j) -> Element
     labels: list | None = None
-    n_max: int = N_MAX_DEFAULT
 
     def __post_init__(self):
         if self.labels is None:
             self.labels = [f"g{k+1}" for k in range(len(self.idems))]
         for (i, j), e in list(self.diff.items()):
             if isinstance(e, str):
-                e = Element.parse(e, self.n_max)
+                e = Element.parse(e)
                 self.diff[(i, j)] = e
             if e.is_zero():
                 del self.diff[(i, j)]
@@ -258,9 +237,7 @@ class TwistedComplex:
             if not (0 <= i < j < len(self.idems)):
                 raise AlgebraError(f"arrow ({i},{j}) breaks strict triangularity")
             for w in e.words:
-                if w.source != self.idems[i] or (w.target != self.idems[j]
-                                                 if not w.is_identity()
-                                                 else w.idem != self.idems[j]):
+                if w.source != self.idems[i] or w.target != self.idems[j]:
                     raise AlgebraError(
                         f"arrow {w} has wrong idempotents for ({i},{j})")
 
@@ -268,14 +245,13 @@ class TwistedComplex:
         return len(self.idems)
 
     def entry(self, i, j):
-        return self.diff.get((i, j), Element((), self.n_max))
+        return self.diff.get((i, j), Element())
 
     def arrows(self):
         return sorted(self.diff.items())
 
     def copy(self):
-        return TwistedComplex(list(self.idems), dict(self.diff),
-                              list(self.labels), self.n_max)
+        return TwistedComplex(list(self.idems), dict(self.diff), list(self.labels))
 
     # -- serialization
 
@@ -286,7 +262,7 @@ class TwistedComplex:
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def from_text(text, n_max=N_MAX_DEFAULT):
+    def from_text(text):
         idems, labels, diff = [], [], {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#")[0].strip()
@@ -307,8 +283,8 @@ class TwistedComplex:
                     j = labels.index(m.group(2))
                 except ValueError as exc:
                     raise AlgebraError(f"line {lineno}: unknown generator") from exc
-                diff[(i, j)] = Element.parse(m.group(3), n_max)
-        return TwistedComplex(idems, diff, labels, n_max)
+                diff[(i, j)] = Element.parse(m.group(3))
+        return TwistedComplex(idems, diff, labels)
 
     def to_json(self):
         return {
@@ -319,20 +295,18 @@ class TwistedComplex:
         }
 
     @staticmethod
-    def from_json(obj, n_max=N_MAX_DEFAULT):
+    def from_json(obj):
         labels = [g["name"] for g in obj["generators"]]
         idems = [g["idempotent"] for g in obj["generators"]]
         diff = {}
         for a in obj["arrows"]:
             i, j = labels.index(a["from"]), labels.index(a["to"])
-            diff[(i, j)] = Element.parse(a["word"], n_max)
-        return TwistedComplex(idems, diff, labels, n_max)
+            diff[(i, j)] = Element.parse(a["word"])
+        return TwistedComplex(idems, diff, labels)
 
     def same_as(self, other):
         """Equality up to generator relabeling (order and arrows must agree)."""
-        return (self.idems == other.idems
-                and {k: v for k, v in self.diff.items()}
-                == {k: v for k, v in other.diff.items()})
+        return self.idems == other.idems and self.diff == other.diff
 
 
 def mc_check(cx):
@@ -343,12 +317,12 @@ def mc_check(cx):
     n = cx.n_gens()
     for i in range(n):
         for k in range(n):
-            acc = Element((), cx.n_max)
+            acc = Element()
             for j in range(n):
                 a = cx.diff.get((i, j))
                 b = cx.diff.get((j, k))
                 if a is not None and b is not None:
-                    acc = acc + mul_B(a, b, cx.n_max)
+                    acc = acc + mul_B(a, b)
             if not acc.is_zero():
                 return False, (i, k)
     return True, None
@@ -372,8 +346,8 @@ def functor_II(cx):
         diff[(i, j)] = e
         diff[(i + n, j + n)] = e
     for i, idm in enumerate(cx.idems):
-        diff[(i, i + n)] = h_central_component(idm, cx.n_max)
-    return TwistedComplex(idems, diff, labels, cx.n_max)
+        diff[(i, i + n)] = h_central_component(idm)
+    return TwistedComplex(idems, diff, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +372,7 @@ def _cancel_id_arrow(cx, i, j):
             a = cx.diff.get((g, j))
             b = cx.diff.get((i, h))
             if a is not None and b is not None:
-                e = e + mul_B(a, b, cx.n_max)
+                e = e + mul_B(a, b)
             if not e.is_zero():
                 if not (g < h):
                     raise NonCancellable(
@@ -410,36 +384,23 @@ def _cancel_id_arrow(cx, i, j):
     return TwistedComplex(
         [cx.idems[k] for k in keep],
         {(remap[g], remap[h]): e for (g, h), e in new_diff.items()},
-        [cx.labels[k] for k in keep],
-        cx.n_max)
+        [cx.labels[k] for k in keep])
 
 
 def _apply_base_change(cx, j, l, u):
-    """Unitriangular base change g_j -> g_j + u g_l (j < l), D -> (1+E) D (1+E)."""
-    n = cx.n_gens()
-    diff = {k: v for k, v in cx.diff.items()}
-    # E D: row j gains u * D[l][k]
-    for k in range(n):
-        b = cx.diff.get((l, k))
-        if b is not None:
-            add = mul_B(u, b, cx.n_max)
-            if not add.is_zero():
-                diff[(j, k)] = diff.get((j, k), Element((), cx.n_max)) + add
-    # D E: column l gains D[g][j] * u
-    for g in range(n):
-        a = cx.diff.get((g, j))
-        if a is not None:
-            add = mul_B(a, u, cx.n_max)
-            if not add.is_zero():
-                diff[(g, l)] = diff.get((g, l), Element((), cx.n_max)) + add
-    # E D E: row j, column l
-    b = cx.diff.get((l, j))
-    if b is not None:
-        add = mul_B(mul_B(u, b, cx.n_max), u, cx.n_max)
-        if not add.is_zero():
-            diff[(j, l)] = diff.get((j, l), Element((), cx.n_max)) + add
-    diff = {k: v for k, v in diff.items() if not v.is_zero()}
-    return TwistedComplex(list(cx.idems), diff, list(cx.labels), cx.n_max)
+    """Unitriangular base change g_j -> g_j + u g_l (j < l), D -> (1+E) D (1+E).
+
+    Row j gains u D[l][k] and column l gains D[g][j] u; E D E = u D[l][j] u
+    vanishes, as D is strictly triangular.  New entries follow the old ones,
+    those of row j first, each part in filtration order.
+    """
+    diff = dict(cx.diff)
+    for (a, b), e in sorted(cx.diff.items(), key=lambda kv: (kv[0][0] != l, kv[0])):
+        if a == l:
+            diff[(j, b)] = diff.get((j, b), Element()) + mul_B(u, e)
+        elif b == j:
+            diff[(a, l)] = diff.get((a, l), Element()) + mul_B(e, u)
+    return TwistedComplex(list(cx.idems), diff, list(cx.labels))
 
 
 def _term_count(cx):
@@ -449,58 +410,36 @@ def _term_count(cx):
 def _candidate_changes(cx):
     """Elementary base changes that could cancel a composite term.
 
-    For every multi-term entry and every factorization of one of its words
-    through an existing single arrow, propose the complementary factor.
+    For every word w of an entry D[i][k] and every factorization of w
+    through an existing single arrow, propose the complementary factor:
+    first w = u D[l][k] (base change (i, l)), then w = D[i][g] u (base
+    change (g, k)).
     """
     seen = set()
     for (i, k), e in cx.diff.items():
         for w in e.words:
-            # suffix factorization w = u * (word of D[l][k])
-            for (l, kk), e2 in cx.diff.items():
-                if kk == k and l != i:
-                    for w2 in e2.words:
-                        u = _left_quotient(w, w2, cx.idems[i], cx.idems[l])
-                        if u is not None and i < l:
-                            key = (i, l, u)
-                            if key not in seen:
-                                seen.add(key)
-                                yield i, l, Element([u], cx.n_max)
-            # prefix factorization w = (word of D[i][g]) * u
-            for (ii, g), e2 in cx.diff.items():
-                if ii == i and g != k:
-                    for w2 in e2.words:
-                        u = _right_quotient(w, w2, cx.idems[g], cx.idems[k])
-                        if u is not None and g < k:
-                            key = (g, k, u)
-                            if key not in seen:
-                                seen.add(key)
-                                yield g, k, Element([u], cx.n_max)
+            splits = [(i, l, (), w2.letters) for (l, kk), e2 in cx.diff.items()
+                      if kk == k and l != i for w2 in e2.words]
+            splits += [(g, k, w2.letters, ()) for (ii, g), e2 in cx.diff.items()
+                       if ii == i and g != k for w2 in e2.words]
+            for j, l, head, tail in splits:
+                u = _cofactor(w, head, tail, cx.idems[j], cx.idems[l])
+                if u is not None and j < l and (j, l, u) not in seen:
+                    seen.add((j, l, u))
+                    yield j, l, Element([u])
 
 
-def _left_quotient(w, suffix, src, mid):
-    """u with u * suffix = w, u: src -> mid; None if no such basis word."""
-    ls, lw = suffix.letters, w.letters
-    if suffix.is_identity() or len(ls) > len(lw):
+def _cofactor(w, head, tail, src, tgt):
+    """The basis word u: src -> tgt with head u tail = w for letter tuples
+    head and tail; None if there is none or if head and tail are both empty."""
+    lw = w.letters
+    if not (head or tail) or len(head) + len(tail) > len(lw):
         return None
-    if lw[len(lw) - len(ls):] != ls:
+    if lw[:len(head)] != head or lw[len(lw) - len(tail):] != tail:
         return None
-    head = lw[: len(lw) - len(ls)]
-    u = ChordWord(head, mid if not head else None)
-    if u.source != src or u.target != mid:
-        return None
-    return u
-
-
-def _right_quotient(w, prefix, mid, tgt):
-    """u with prefix * u = w, u: mid -> tgt; None if no such basis word."""
-    lp, lw = prefix.letters, w.letters
-    if prefix.is_identity() or len(lp) > len(lw):
-        return None
-    if lw[: len(lp)] != lp:
-        return None
-    tail = lw[len(lp):]
-    u = ChordWord(tail, mid if not tail else None)
-    if u.source != mid or u.target != tgt:
+    mid = lw[len(head): len(lw) - len(tail)]
+    u = ChordWord(mid, tgt if not mid else None)
+    if u.source != src or u.target != tgt:
         return None
     return u
 
@@ -546,12 +485,16 @@ def reduce(cx):
     return cx
 
 
-def h_is_central(max_len=10, n_max=N_MAX_DEFAULT + 2):
-    """Verify H w = w H for all basis words of length <= max_len."""
-    H = central_element(n_max)
-    for w in basis_words(max_len, n_max):
-        e = Element([w], n_max)
-        if mul_B(H, e, n_max) != mul_B(e, H, n_max):
+def h_is_central(max_len=10):
+    """Verify H w = w H for all basis words of length <= max_len.
+
+    H w has at most max_len + 2 letters, which survive truncation up to
+    max_len = N_MAX - 2.
+    """
+    H = central_element()
+    for w in basis_words(max_len):
+        e = Element([w])
+        if mul_B(H, e) != mul_B(e, H):
             return False
     return True
 
@@ -719,11 +662,8 @@ def complex_to_curve(cx):
     if n == 2 and list(cx.diff) == [(0, 1)]:
         e = cx.entry(0, 1)
         if len(e.words) == 2:
-            names = sorted(str(w) for w in e.words)
-            if names == ["D1", "S2S1"] and cx.idems == [IDEM_DOT, IDEM_DOT]:
-                return _template_fig8(_arc_for_idem(IDEM_DOT))
-            if names == ["D2", "S1S2"] and cx.idems == [IDEM_CIRC, IDEM_CIRC]:
-                return _template_fig8(_arc_for_idem(IDEM_CIRC))
+            if e == h_central_component(cx.idems[0]):
+                return _template_fig8(_arc_for_idem(cx.idems[0]))
             raise UnsupportedArrow(f"unsupported doubled entry {e}")
     return realize_chain(cx)
 
@@ -748,31 +688,39 @@ def _pushoff(arc, amount=0.07):
 def _template_crossings(samples):
     """Ordered transverse crossings with the template lift lines.
 
-    Returns a list of (arclength position index u, type) with type the
-    idempotent of the template arc crossed, plus the crossing radius data.
-    A sample exactly on a line counts as lying above it, so a crossing
-    through a sample is found once.
+    Returns a list of (arclength position index u, type, crossing point)
+    with type the idempotent of the template arc crossed, sorted by u, then
+    by segment, then a• lines before a° lines.  A sample exactly on a line
+    counts as lying above it, so a crossing through a sample is found once.
     """
-    out = []
-    for k in range(len(samples) - 1):
-        p, q = samples[k], samples[k + 1]
-        # crossings with theta = 2 pi m  (a• lifts)
-        for m in range(int(math.floor(min(p[1], q[1]) / TWO_PI)),
-                       int(math.ceil(max(p[1], q[1]) / TWO_PI)) + 1):
-            y = m * TWO_PI
-            if (p[1] < y) != (q[1] < y):
-                t = (y - p[1]) / (q[1] - p[1])
-                x = p[0] + t * (q[0] - p[0])
-                out.append((k + t, IDEM_DOT, np.array([x, y])))
-        # crossings with gamma = pi + 2 pi m  (a° lifts)
-        for m in range(int(math.floor((min(p[0], q[0]) - _PI) / TWO_PI)),
-                       int(math.ceil((max(p[0], q[0]) - _PI) / TWO_PI)) + 1):
-            x = _PI + m * TWO_PI
-            if (p[0] < x) != (q[0] < x):
-                t = (x - p[0]) / (q[0] - p[0])
-                y = p[1] + t * (q[1] - p[1])
-                out.append((k + t, IDEM_CIRC, np.array([x, y])))
-    return sorted(out, key=lambda z: z[0])
+    p, q = samples[:-1], samples[1:]
+    found = []
+    # theta = 2 pi m (a• lifts), then gamma = pi + 2 pi m (a° lifts)
+    for idem, ax, off in ((IDEM_DOT, 1, 0.0), (IDEM_CIRC, 0, _PI)):
+        lo = np.floor((np.minimum(p[:, ax], q[:, ax]) - off) / TWO_PI).astype(int)
+        span = np.ceil((np.maximum(p[:, ax], q[:, ax]) - off) / TWO_PI).astype(int) - lo + 1
+        # one row per (segment k, line m) with lo[k] <= m < lo[k] + span[k]
+        k = np.repeat(np.arange(len(p)), span)
+        m = lo[k] + np.arange(len(k)) - np.repeat(np.cumsum(span) - span, span)
+        c = off + m * TWO_PI
+        hit = (p[k, ax] < c) != (q[k, ax] < c)
+        k, c = k[hit], c[hit]
+        t = (c - p[k, ax]) / (q[k, ax] - p[k, ax])
+        pos = np.empty((len(k), 2))
+        pos[:, ax] = c
+        pos[:, 1 - ax] = p[k, 1 - ax] + t * (q[k, 1 - ax] - p[k, 1 - ax])
+        found += zip((k + t).tolist(), k.tolist(), [idem] * len(k), pos)
+    found.sort(key=lambda z: z[:2])
+    return [(u, idem, pos) for u, _, idem, pos in found]
+
+
+def _generator_crossings(samples):
+    """Template crossings outside 1.5 _WRAP_RADIUS of every corner lift.
+
+    Crossings within it are internal to a wrap; the others are generators.
+    """
+    return [c for c in _template_crossings(samples)
+            if np.linalg.norm(c[2] - cv._nearest_corner_lift(c[2])) > 1.5 * _WRAP_RADIUS]
 
 
 def _segment_wrap_data(samples, u1, u2):
@@ -782,38 +730,26 @@ def _segment_wrap_data(samples, u1, u2):
     piece = samples[max(i0 - 1, 0): i1 + 1]
     if len(piece) < 3:
         return None
-    dmin, c_best = None, None
-    for k in range(len(piece)):
-        c = cv._nearest_corner_lift(piece[k])
-        d = np.linalg.norm(piece[k] - c)
-        if dmin is None or d < dmin:
-            dmin, c_best = d, c
-    if dmin is None or dmin > 1.5 * _WRAP_RADIUS:
+    corners = cv._nearest_corner_lift(piece)
+    d = np.linalg.norm(piece - corners, axis=-1)
+    k = np.argmin(d)
+    if d[k] > 1.5 * _WRAP_RADIUS:
         return None
-    rel = piece - c_best
+    rel = piece - corners[k]
     ang = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
-    return c_best, ang[-1] - ang[0]
+    return corners[k], ang[-1] - ang[0]
 
 
-_WORD_BY_MOTIF = {
-    (IDEM_CIRC, IDEM_DOT, 2, 1): "S1",
-    (IDEM_DOT, IDEM_CIRC, 2, 1): "S2",
-    (IDEM_DOT, IDEM_DOT, 2, 2): "S2S1",
-    (IDEM_CIRC, IDEM_CIRC, 2, 2): "S1S2",
-    (IDEM_DOT, IDEM_DOT, 0, 2): "D1",
-    (IDEM_CIRC, IDEM_CIRC, 3, 2): "D2",
-    (IDEM_DOT, IDEM_DOT, 0, 4): "D1D1",
-    (IDEM_CIRC, IDEM_CIRC, 3, 4): "D2D2",
-}
+# (source, target, wrapped corner, quarter turns) -> the word of that wrap
+_WORD_BY_MOTIF = {(w.source, w.target, _MOTIF_CORNER[w.letters[0]],
+                   round(_word_sweep(w) / (0.5 * math.pi))): str(w)
+                  for w in basis_words(2) if not w.is_identity()}
 
 
 def _read_chain(curve):
     """Direct read of a normal-position arc: crossings plus wrap classification."""
     samples = curve.samples
-    crossings = _template_crossings(samples)
-    # wrap-internal crossings happen within the wrap radius of a corner lift
-    gens = [(u, idm, pos) for (u, idm, pos) in crossings
-            if np.linalg.norm(pos - cv._nearest_corner_lift(pos)) > 1.5 * _WRAP_RADIUS]
+    gens = _generator_crossings(samples)
     if not gens:
         raise UnsupportedArrow("no template crossings found")
     idems = [g[1] for g in gens]
@@ -838,10 +774,9 @@ def _read_chain(curve):
     return TwistedComplex(idems, diff)
 
 
-def _t3_complex(n_max=N_MAX_DEFAULT):
+def _t3_complex():
     return TwistedComplex([IDEM_CIRC, IDEM_DOT, IDEM_DOT, IDEM_DOT],
-                          {(0, 1): "S1", (1, 2): "D1", (2, 3): "S2S1"},
-                          n_max=n_max)
+                          {(0, 1): "S1", (1, 2): "D1", (2, 3): "S2S1"})
 
 
 def _straight_line_complex(curve):
@@ -905,10 +840,7 @@ def curve_to_complex(curve):
     # a push-off of a template arc: right corner pair, no template crossings,
     # supported near the arc
     ends = {cv.corner_index_of_lift(pts[0]), cv.corner_index_of_lift(pts[-1])}
-    crossings = [c for c in _template_crossings(pts)
-                 if np.linalg.norm(c[2] - cv._nearest_corner_lift(c[2]))
-                 > 1.5 * _WRAP_RADIUS]
-    if not crossings:
+    if not _generator_crossings(pts):
         for idm in (IDEM_DOT, IDEM_CIRC):
             if ends == set(_ARC_ENDS[idm]):
                 host = cv.to_canonical(_arc_for_idem(idm).resampled(0.01).samples)

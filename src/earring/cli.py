@@ -39,6 +39,8 @@ class RunConfig:
             raise ValueError("s must satisfy 0 <= s < pi/4")
         if not (0 < self.delta < math.pi / 4):
             raise ValueError("delta must satisfy 0 < delta < pi/4")
+        if type(self.grid) is not int or self.grid < 1:
+            raise ValueError("grid must be a positive integer")
 
     @staticmethod
     def load(path=None, overrides=None):
@@ -211,6 +213,9 @@ def cmd_compose(cfg, args):
         return EXIT_OK
     try:
         out = co.compose_curve(curve, cfg.s)
+    except cv.CurveError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     except (co.ContinuationStall, co.NonTransverse) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -287,6 +292,9 @@ def cmd_counts(cfg, args):
 
 
 def cmd_taylor(cfg, args):
+    if args.points < 1:
+        print("error: bad config: taylor needs --points >= 1", file=sys.stderr)
+        return EXIT_IO
     rng = np.random.default_rng(args.seed)
     slopes = []
     for _ in range(args.points):
@@ -348,6 +356,8 @@ def cmd_algebra(cfg, args):
             return EXIT_OK
         if args.subcommand == "from-curve":
             curve = _load_curve(args.args[0])
+            if curve is None:
+                return EXIT_IO
             cx = al.curve_to_complex(curve)
             sys.stdout.write(cx.to_text())
             return EXIT_OK

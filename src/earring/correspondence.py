@@ -387,9 +387,12 @@ def compose_curve(curve, s):
     (FoldUnresolved included) or NonTransverse is skipped.  Each component's
     provenance marks its swept samples in "swept".  Every sample must lie
     within 1e-6 of the input curve's constraint lift, else ContinuationStall.
+    An open path is refused with CurveError.
     """
     if not (0 < s < math.pi / 4):
         raise ValueError("s must lie in (0, pi/4)")
+    if curve.kind not in ("loop", "arc"):
+        raise cv.CurveError("compose acts on loops and arcs")
     pts = cv.constraint_lift(curve.resampled(min(0.02, curve.length() / 64)))
     lift = _Lift(pts)
     system = _System(lift, s)
@@ -670,16 +673,9 @@ def count_generalized_points(arc0, arc1, s, details=False):
     t0, g, t = (np.repeat(x[rows], 2)[ok.ravel()] for x in (t0, g, t))
     h = h[ok]
 
-    # seed t1 at the arc1 sample nearest to the inner restriction, in row
-    # blocks of at most 8192 distances: one full distance matrix raised the
-    # peak RSS of `earring counts` by 1.4 MB (its temporaries are large
-    # enough to be mapped fresh rather than reused from the heap)
-    p1 = _inner_canonical(g, t, h, s)
+    # seed t1 at the arc1 sample nearest to the inner restriction
     a1_canon = cv.to_canonical(arc1.resampled(0.01).samples)
-    block = max(1, 8192 // len(a1_canon))
-    kbest = np.concatenate([
-        np.argmin(pc.dist_raw(q[:, :1], q[:, 1:], a1_canon[:, 0], a1_canon[:, 1]), axis=1)
-        for q in np.split(p1, range(block, len(p1), block))])
+    kbest = cv.nearest_sample(_inner_canonical(g, t, h, s), a1_canon)
     t1 = kbest / (len(a1_canon) - 1.0) * len1
 
     t0, t1, h, ok, sv = _gauss_newton_gp(f0, f1, t0, t1, h, s)

@@ -264,7 +264,7 @@ def to_canonical(samples):
     return np.stack([g, t], axis=-1)
 
 
-# min_dist_to_samples prunes by chunks of NN_CHUNK consecutive samples (16
+# nearest_sample prunes by chunks of NN_CHUNK consecutive samples (16
 # measured fastest on composed curves; 8 and 32 were close).  NN_MARGIN
 # absorbs the rounding of the pruning bound: dist_raw rounds by a few ulp of
 # the lift coordinates, far below 1e-9 for any lift in use.
@@ -272,33 +272,49 @@ NN_CHUNK = 16
 NN_MARGIN = 1e-9
 
 
-def min_dist_to_samples(query, samples):
-    """Min quotient distance from each query point to a sample cloud.
+def nearest_sample(query, samples):
+    """Index of the sample nearest to each query point in the quotient metric.
 
-    Exact, pruned by the triangle inequality.  The cloud is cut into chunks
-    of NN_CHUNK consecutive samples; chunk j has a centre sample c_j and the
-    radius r_j = max dist(c_j, x) over its samples x.  dist_raw is the
-    quotient metric of T/iota (iota is a torus isometry), so every sample of
-    chunk j lies at least D_j - r_j from a query q, D_j = dist(q, c_j),
-    while the nearest sample lies at most min_j D_j from q.  Only the chunks
-    with D_j - r_j <= min_j D_j + NN_MARGIN are searched: they hold the
-    nearest sample, and each candidate's distance is the same elementwise
-    dist_raw, so every minimum is bitwise the one over all samples.
+    Exact, pruned by the triangle inequality, and the first index of each
+    minimum, as np.argmin over all samples gives.  The cloud is cut into
+    chunks of NN_CHUNK consecutive samples (the last one padded by repeats
+    of sample n - 1, which come after the real one); chunk j has a centre
+    sample c_j and the radius r_j = max dist(c_j, x) over its samples x.
+    dist_raw is the quotient metric of T/iota (iota is a torus isometry), so
+    every sample of chunk j lies at least D_j - r_j from a query q,
+    D_j = dist(q, c_j), while the nearest sample lies at most min_j D_j from
+    q.  Only the chunks with D_j - r_j <= min_j D_j + NN_MARGIN are searched:
+    they hold every minimiser, and each candidate's distance is the same
+    elementwise dist_raw, so every minimum is bitwise the one over all
+    samples.
     """
-    qg, qt = query[:, :1], query[:, 1:]
     n = len(samples)
     k = -(-n // NN_CHUNK)
     chunks = np.concatenate([samples, np.repeat(samples[-1:], k * NN_CHUNK - n, axis=0)])
     chunks = chunks.reshape(k, NN_CHUNK, 2)
     centre = chunks[:, NN_CHUNK // 2]
     radius = np.max(pc.dist_raw(centre[:, :1], centre[:, 1:], chunks[..., 0], chunks[..., 1]), axis=1)
-    d = pc.dist_raw(qg, qt, centre[:, 0], centre[:, 1])
+    d = pc.dist_raw(query[:, :1], query[:, 1:], centre[:, 0], centre[:, 1])
     keep = d - radius <= np.min(d, axis=1, keepdims=True) + NN_MARGIN
     keep[np.arange(len(d)), np.argmin(d, axis=1)] = True     # none empty, nan queries too
     qi, ci = np.nonzero(keep)
     cand = chunks[ci]
-    near = np.min(pc.dist_raw(query[qi, :1], query[qi, 1:], cand[..., 0], cand[..., 1]), axis=1)
-    return np.minimum.reduceat(near, np.searchsorted(qi, np.arange(len(query))))
+    near = pc.dist_raw(query[qi, :1], query[qi, 1:], cand[..., 0], cand[..., 1])
+    arg = np.argmin(near, axis=1)
+    row = near[np.arange(len(qi)), arg]
+    best = np.minimum.reduceat(row, np.searchsorted(qi, np.arange(len(query))))
+    # the first candidate chunk of each query that holds its minimum (a nan
+    # query has one chunk, whose first sample np.argmin also returns)
+    hit = np.flatnonzero(~(row > best[qi]))
+    first = hit[np.searchsorted(qi[hit], np.arange(len(query)))]
+    return ci[first] * NN_CHUNK + arg[first]
+
+
+def min_dist_to_samples(query, samples):
+    """Min quotient distance from each query point to a sample cloud: the
+    distance to its nearest_sample, bitwise the minimum over all samples."""
+    i = nearest_sample(query, samples)
+    return pc.dist_raw(query[:, 0], query[:, 1], samples[i, 0], samples[i, 1])
 
 
 def hausdorff(samples_a, samples_b):

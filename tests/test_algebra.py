@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from earring import algebra as al
 from earring import correspondence as co
 from earring import curves as cv
+from earring.pillowcase import TWO_PI
 
 O = al.IDEM_CIRC
 D = al.IDEM_DOT
@@ -17,8 +19,8 @@ def E(text):
     return al.Element.parse(text)
 
 
-def identity_element(idem, n_max=al.N_MAX_DEFAULT):
-    return al.Element([al.ChordWord((), idem)], n_max)
+def identity_element(idem):
+    return al.Element([al.ChordWord((), idem)])
 
 
 def t3_complex():
@@ -47,9 +49,13 @@ def test_word_invariants():
 
 
 def test_truncation():
-    x = al.Element(["S1S2S1S2S1S2"], n_max=8)
-    y = al.Element(["S1S2S1"], n_max=8)
-    assert al.mul_B(x, y, n_max=8).is_zero()
+    # products keep words of up to N_MAX = 12 letters and kill longer ones
+    assert al.N_MAX == 12
+    x = E("S1S2S1S2S1S2")
+    assert str(al.mul_B(x, E("S1S2S1S2S1S2"))) == "S1S2S1S2S1S2S1S2S1S2S1S2"
+    assert al.mul_B(x, E("S1S2S1S2S1S2S1")).is_zero()
+    assert str(al.mul_B(E("D1D1D1D1D1D1"), E("D1D1D1D1D1D1"))) == "D1" * 12
+    assert al.mul_B(E("D1" * 7), E("D1" * 6)).is_zero()
 
 
 def test_associativity_randomized():
@@ -160,6 +166,95 @@ def test_reduce_keeps_id_arrow_that_would_break_the_filtration():
     assert al.reduce(out).same_as(out)
 
 
+def _left_quotient_ref(w, suffix, src, mid):
+    """u with u * suffix = w, u: src -> mid; None if no such basis word."""
+    ls, lw = suffix.letters, w.letters
+    if suffix.is_identity() or len(ls) > len(lw):
+        return None
+    if lw[len(lw) - len(ls):] != ls:
+        return None
+    head = lw[: len(lw) - len(ls)]
+    u = al.ChordWord(head, mid if not head else None)
+    if u.source != src or u.target != mid:
+        return None
+    return u
+
+
+def _right_quotient_ref(w, prefix, mid, tgt):
+    """u with prefix * u = w, u: mid -> tgt; None if no such basis word."""
+    lp, lw = prefix.letters, w.letters
+    if prefix.is_identity() or len(lp) > len(lw):
+        return None
+    if lw[: len(lp)] != lp:
+        return None
+    tail = lw[len(lp):]
+    u = al.ChordWord(tail, mid if not tail else None)
+    if u.source != mid or u.target != tgt:
+        return None
+    return u
+
+
+def _candidate_changes_ref(cx):
+    """Reference for al._candidate_changes: one loop per factorization side."""
+    seen = set()
+    for (i, k), e in cx.diff.items():
+        for w in e.words:
+            for (l, kk), e2 in cx.diff.items():
+                if kk == k and l != i:
+                    for w2 in e2.words:
+                        u = _left_quotient_ref(w, w2, cx.idems[i], cx.idems[l])
+                        if u is not None and i < l and (i, l, u) not in seen:
+                            seen.add((i, l, u))
+                            yield i, l, al.Element([u])
+            for (ii, g), e2 in cx.diff.items():
+                if ii == i and g != k:
+                    for w2 in e2.words:
+                        u = _right_quotient_ref(w, w2, cx.idems[g], cx.idems[k])
+                        if u is not None and g < k and (g, k, u) not in seen:
+                            seen.add((g, k, u))
+                            yield g, k, al.Element([u])
+
+
+def _apply_base_change_ref(cx, j, l, u):
+    """Reference for al._apply_base_change: the E D, D E and E D E blocks."""
+    n = cx.n_gens()
+    diff = dict(cx.diff)
+    for k in range(n):
+        b = cx.diff.get((l, k))
+        if b is not None:
+            add = al.mul_B(u, b)
+            if not add.is_zero():
+                diff[(j, k)] = diff.get((j, k), al.Element()) + add
+    for g in range(n):
+        a = cx.diff.get((g, j))
+        if a is not None:
+            add = al.mul_B(a, u)
+            if not add.is_zero():
+                diff[(g, l)] = diff.get((g, l), al.Element()) + add
+    b = cx.diff.get((l, j))
+    if b is not None:
+        add = al.mul_B(al.mul_B(u, b), u)
+        if not add.is_zero():
+            diff[(j, l)] = diff.get((j, l), al.Element()) + add
+    diff = {k: v for k, v in diff.items() if not v.is_zero()}
+    return al.TwistedComplex(list(cx.idems), diff, list(cx.labels))
+
+
+@settings(max_examples=200)
+@given(twisted_complexes(), st.data())
+def test_base_changes_equal_the_quotient_reference(cx, data):
+    # the same candidates in the same order, and each base change gives the
+    # same entries in the same order, since reduce keeps the first best one
+    cands = list(al._candidate_changes(cx))
+    assert cands == list(_candidate_changes_ref(cx))
+    j, l = sorted(data.draw(st.lists(st.integers(0, cx.n_gens() - 1), min_size=2, max_size=2,
+                                     unique=True)))
+    fits = [w for w in BASIS if w.source == cx.idems[j] and w.target == cx.idems[l]]
+    for j, l, u in cands + [(j, l, al.Element([data.draw(st.sampled_from(fits))]))]:
+        out, ref = al._apply_base_change(cx, j, l, u), _apply_base_change_ref(cx, j, l, u)
+        assert list(out.diff.items()) == list(ref.diff.items())
+
+
 @st.composite
 def motif_chains(draw):
     """Chains of 2-5 generators whose arrows are chord-motif words, with d^2 = 0.
@@ -190,7 +285,54 @@ def test_crossing_through_a_sample_is_read_once():
                                      (3, 4): "D1D1"})
     curve = al.complex_to_curve(cx)
     assert 0.0 in curve.samples[1:-1, 1]
+    assert _same_crossings(curve.samples)
     assert al.curve_to_complex(curve).same_as(cx)
+
+
+def _template_crossings_loop(samples):
+    """Reference for al._template_crossings: segment by segment, line by line."""
+    out = []
+    for k in range(len(samples) - 1):
+        p, q = samples[k], samples[k + 1]
+        for m in range(int(math.floor(min(p[1], q[1]) / TWO_PI)),
+                       int(math.ceil(max(p[1], q[1]) / TWO_PI)) + 1):
+            y = m * TWO_PI
+            if (p[1] < y) != (q[1] < y):
+                t = (y - p[1]) / (q[1] - p[1])
+                x = p[0] + t * (q[0] - p[0])
+                out.append((k + t, D, np.array([x, y])))
+        for m in range(int(math.floor((min(p[0], q[0]) - math.pi) / TWO_PI)),
+                       int(math.ceil((max(p[0], q[0]) - math.pi) / TWO_PI)) + 1):
+            x = math.pi + m * TWO_PI
+            if (p[0] < x) != (q[0] < x):
+                t = (x - p[0]) / (q[0] - p[0])
+                y = p[1] + t * (q[1] - p[1])
+                out.append((k + t, O, np.array([x, y])))
+    return sorted(out, key=lambda z: z[0])
+
+
+def _same_crossings(samples):
+    new, ref = al._template_crossings(samples), _template_crossings_loop(samples)
+    return (len(new) == len(ref)
+            and all(a[0] == b[0] and a[1] == b[1] and np.array_equal(a[2], b[2])
+                    for a, b in zip(new, ref)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 80), st.sampled_from([0.05, 0.5, 3.0, 10.0]), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.integers(0, 79), st.sampled_from(["theta", "gamma", "corner"]),
+                          st.integers(-3, 3)), max_size=10))
+def test_template_crossings_equal_the_loop(n, step, seed, planted):
+    # random walks with samples planted exactly on theta = 2 pi m,
+    # gamma = pi + 2 pi m and on both (a corner lift), next to each other too
+    rng = np.random.default_rng(seed)
+    samples = rng.uniform(-7, 7, 2) + np.cumsum(rng.normal(scale=step, size=(n, 2)), axis=0)
+    for k, line, m in planted:
+        if line != "gamma":
+            samples[k % n, 1] = m * TWO_PI
+        if line != "theta":
+            samples[k % n, 0] = math.pi + m * TWO_PI
+    assert _same_crossings(samples)
 
 
 def test_complex_text_and_json_roundtrip():
@@ -212,6 +354,7 @@ def test_dictionary_roundtrips():
                al.TwistedComplex([D, D], {(0, 1): "D1+S2S1"}),
                al.TwistedComplex([O, O], {(0, 1): "D2+S1S2"})):
         curve = al.complex_to_curve(cx)
+        assert _same_crossings(curve.samples)
         back = al.curve_to_complex(curve)
         assert back.same_as(cx), f"round trip failed for {cx.to_text()}"
 

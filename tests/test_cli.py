@@ -285,3 +285,33 @@ def test_malformed_config_rejected(tmp_path, capsys, data):
     cfgfile.write_text(json.dumps(data))
     assert run(["--config", str(cfgfile), "corner-gap"]) == 4
     assert "error: bad config" in capsys.readouterr().err
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+# each malformed input and the documented exit code it must give
+MALFORMED_INPUTS = {
+    "from-curve, missing file": (lambda d: ["algebra", "from-curve", str(d / "nope.json")], 4),
+    "from-curve, not JSON": (lambda d: ["algebra", "from-curve", _write(d / "bad.json", "x")], 4),
+    "grid 0": (lambda d: ["--grid", "0", "sample-moduli", "--out", str(d / "g.csv")], 4),
+    "grid -3": (lambda d: ["--grid", "-3", "sample-moduli", "--out", str(d / "g.csv")], 4),
+    "grid 2.5 in a config": (lambda d: ["--config", _write(d / "c.json", '{"grid": 2.5}'),
+                                        "sample-moduli", "--out", str(d / "g.csv")], 4),
+    "taylor --points 0": (lambda d: ["taylor", "--points", "0"], 4),
+    "taylor --points -2": (lambda d: ["taylor", "--points", "-2"], 4),
+    "compose of a path": (lambda d: ["--s", "0.1", "compose", _write(d / "path.json", json.dumps(
+        cv.Curve("path", np.array([[0.5, 0.5], [1.0, 1.0], [1.5, 0.7]])).to_json())),
+        "--out", str(d / "p")], 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_with_its_code(tmp_path, capsys, case):
+    argv, code = MALFORMED_INPUTS[case]
+    assert run(argv(tmp_path)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.glob("g.csv")) and not list(tmp_path.glob("p.*"))

@@ -165,11 +165,15 @@ def test_unwrap_ties_at_corners_equal_loop(corner, step):
         assert np.max(np.abs(cv.unwrap_to_lift(canon) - _unwrap_by_loop(canon))) <= 1e-12
 
 
-def _min_dist_dense(query, samples):
-    """Reference for cv.min_dist_to_samples: the minimum over every sample."""
+def _dist_dense(query, samples):
     qg, qt = query[:, 0][:, None], query[:, 1][:, None]
     sg, st_ = samples[:, 0][None, :], samples[:, 1][None, :]
-    return np.min(pc.dist_raw(qg, qt, sg, st_), axis=1)
+    return pc.dist_raw(qg, qt, sg, st_)
+
+
+def _min_dist_dense(query, samples):
+    """Reference for cv.min_dist_to_samples: the minimum over every sample."""
+    return np.min(_dist_dense(query, samples), axis=1)
 
 
 _special_point = st.one_of(
@@ -200,8 +204,13 @@ def test_min_dist_to_samples_equals_dense(n, step, seed, special, canonical):
         pick + 2 * math.pi * rng.integers(-2, 3, (20, 2)),
         cloud[rng.integers(0, n, 5)] + rng.normal(scale=0.05, size=(5, 2)),
         rng.uniform(-7, 7, (20, 2))])
-    assert np.array_equal(cv.min_dist_to_samples(query, cloud), _min_dist_dense(query, cloud))
-    assert np.array_equal(cv.min_dist_to_samples(cloud, query), _min_dist_dense(cloud, query))
+    for a, b in ((query, cloud), (cloud, query)):
+        assert np.array_equal(cv.min_dist_to_samples(a, b), _min_dist_dense(a, b))
+        assert np.array_equal(cv.nearest_sample(a, b), np.argmin(_dist_dense(a, b), axis=1))
+    # a nan query: nan distance at the first sample, as in the dense argmin
+    nan = np.full((1, 2), math.nan)
+    assert np.isnan(cv.min_dist_to_samples(nan, cloud)).all()
+    assert cv.nearest_sample(nan, cloud).tolist() == [0]
 
 
 @pytest.mark.parametrize("m, n", [(0, 5), (0, 40), (3, 0), (40, 0), (0, 0)])
